@@ -73,16 +73,25 @@ def _readout_walk_rows(ensemble_size: int) -> list[dict]:
         model = ReadoutErrorModel(p01=rate, p10=rate)
 
         density = BreakpointExecutor(
-            ensemble_size=ensemble_size, rng=SEED, readout_error=model,
-            backend="density",
+            RunConfig(
+                ensemble_size=ensemble_size,
+                seed=SEED,
+                readout_error=model,
+                backend="density",
+            ),
         )
         start = time.perf_counter()
         density_measurements = density.run_plan(plan)
         density_seconds = time.perf_counter() - start
 
         legacy = BreakpointExecutor(
-            ensemble_size=ensemble_size, rng=SEED, readout_error=model,
-            backend="statevector", mode="rerun",
+            RunConfig(
+                ensemble_size=ensemble_size,
+                seed=SEED,
+                readout_error=model,
+                backend="statevector",
+                mode="rerun",
+            ),
         )
         start = time.perf_counter()
         legacy_measurements = legacy.run_plan(plan)
@@ -185,7 +194,11 @@ def _check_and_report(entry: dict) -> None:
         BUG_SCENARIOS["flipped_rotation_angles"].build_correct()
     )
     reference = BreakpointExecutor(
-        ensemble_size=entry["ensemble_size"], rng=SEED, backend="statevector"
+        RunConfig(
+            ensemble_size=entry["ensemble_size"],
+            seed=SEED,
+            backend="statevector",
+        ),
     )
     reference.run_plan(plan)
     for row in entry["readout_walk"]:

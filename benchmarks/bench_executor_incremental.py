@@ -20,7 +20,7 @@ from bench_helpers import append_trajectory, print_table
 from repro.algorithms.grover import build_grover_program
 from repro.algorithms.shor import build_shor_program
 from repro.compiler import BreakpointExecutor, build_execution_plan
-from repro.core import DEFAULT_SIGNIFICANCE, build_evaluator
+from repro.core import DEFAULT_SIGNIFICANCE, RunConfig, build_evaluator
 
 SEED = 20190622
 ENSEMBLE_SIZE = 32
@@ -42,12 +42,12 @@ def _verdicts(measurements) -> list[bool]:
 def _compare_engines(workload: str, program) -> dict:
     plan = build_execution_plan(program)
 
-    legacy = BreakpointExecutor(ensemble_size=ENSEMBLE_SIZE, rng=SEED)
+    legacy = BreakpointExecutor(RunConfig(ensemble_size=ENSEMBLE_SIZE, seed=SEED))
     start = time.perf_counter()
     legacy_measurements = [legacy.run(bp) for bp in plan.breakpoint_programs()]
     legacy_seconds = time.perf_counter() - start
 
-    incremental = BreakpointExecutor(ensemble_size=ENSEMBLE_SIZE, rng=SEED)
+    incremental = BreakpointExecutor(RunConfig(ensemble_size=ENSEMBLE_SIZE, seed=SEED))
     start = time.perf_counter()
     incremental_measurements = incremental.run_plan(plan)
     incremental_seconds = time.perf_counter() - start

@@ -30,7 +30,7 @@ from pathlib import Path
 from bench_helpers import append_trajectory, print_table
 from repro.algorithms.shor import build_shor_program
 from repro.compiler import BreakpointExecutor, build_execution_plan
-from repro.core import DEFAULT_SIGNIFICANCE, build_evaluator
+from repro.core import DEFAULT_SIGNIFICANCE, RunConfig, build_evaluator
 from repro.workloads import CLIFFORD_SCENARIOS
 
 SEED = 20190622
@@ -51,7 +51,7 @@ def _verdicts(measurements) -> list[bool]:
 
 def _timed_plan_run(plan, backend: str, ensemble_size: int) -> tuple[dict, list[bool]]:
     executor = BreakpointExecutor(
-        ensemble_size=ensemble_size, rng=SEED, backend=backend
+        RunConfig(ensemble_size=ensemble_size, seed=SEED, backend=backend),
     )
     start = time.perf_counter()
     measurements = executor.run_plan(plan)
@@ -125,13 +125,15 @@ def _hybrid_rows(ensemble_size: int) -> list[dict]:
     circuit = build_shor_program(assert_each_iteration=True)
     plan = build_execution_plan(circuit.program)
 
-    hybrid = BreakpointExecutor(ensemble_size=ensemble_size, rng=SEED, backend="auto")
+    hybrid = BreakpointExecutor(
+        RunConfig(ensemble_size=ensemble_size, seed=SEED, backend="auto"),
+    )
     start = time.perf_counter()
     hybrid_measurements = hybrid.run_plan(plan)
     hybrid_seconds = time.perf_counter() - start
 
     dense = BreakpointExecutor(
-        ensemble_size=ensemble_size, rng=SEED, backend="statevector"
+        RunConfig(ensemble_size=ensemble_size, seed=SEED, backend="statevector"),
     )
     start = time.perf_counter()
     dense_measurements = dense.run_plan(plan)

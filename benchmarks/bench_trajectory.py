@@ -72,7 +72,12 @@ def _agreement_rows(ensemble_size: int) -> list[dict]:
         program = BUG_SCENARIOS[name].build_correct()
         exact = _density_exact_distributions(program, noise)
         executor = BreakpointExecutor(
-            ensemble_size=ensemble_size, rng=SEED, backend="trajectory", noise=noise
+            RunConfig(
+                ensemble_size=ensemble_size,
+                seed=SEED,
+                backend="trajectory",
+                noise=noise,
+            ),
         )
         measurements = executor.run_plan(build_execution_plan(program))
         for (segment_name, _, distribution), item in zip(exact, measurements):
@@ -115,13 +120,23 @@ def _scale_rows(ensemble_size: int, rates) -> list[dict]:
     for rate in rates:
         noise = NoiseModel.from_channels(depolarizing(rate)) if rate > 0 else None
         executor = BreakpointExecutor(
-            ensemble_size=ensemble_size, rng=SEED, backend="trajectory", noise=noise
+            RunConfig(
+                ensemble_size=ensemble_size,
+                seed=SEED,
+                backend="trajectory",
+                noise=noise,
+            ),
         )
         start = time.perf_counter()
         measurements = executor.run_plan(plan)
         seconds = time.perf_counter() - start
         buggy_executor = BreakpointExecutor(
-            ensemble_size=ensemble_size, rng=SEED, backend="trajectory", noise=noise
+            RunConfig(
+                ensemble_size=ensemble_size,
+                seed=SEED,
+                backend="trajectory",
+                noise=noise,
+            ),
         )
         buggy_verdicts = _shor_verdicts(buggy_executor.run_plan(buggy_plan))
         rows.append(

@@ -34,7 +34,7 @@ import numpy as np
 
 from bench_helpers import append_trajectory, print_table
 from repro.compiler import BreakpointExecutor, build_execution_plan
-from repro.core import DEFAULT_SIGNIFICANCE, build_evaluator
+from repro.core import DEFAULT_SIGNIFICANCE, RunConfig, build_evaluator
 from repro.sim.noise import NoiseModel, depolarizing
 from repro.sim.stabilizer_backend import _Tableau, _UnpackedTableau
 from repro.workloads import CLIFFORD_SCENARIOS
@@ -106,8 +106,6 @@ def _throughput_rows(num_qubits: int, ops_per_round: int, rounds: int) -> list[d
 
 
 def _wide_sweep_rows(trials: int) -> list[dict]:
-    from repro.core.config import RunConfig
-
     widths = sorted({s.wide_qubits for s in CLIFFORD_SCENARIOS.values()})
     config = RunConfig(seed=SEED, backend="stabilizer", ensemble_size=32)
     return clifford_detection_sweep(widths=widths, trials=trials, config=config)
@@ -141,7 +139,7 @@ def _cross_backend_rows(ensemble_size: int) -> list[dict]:
             runs = {}
             for backend in ("stabilizer", "statevector", "auto"):
                 executor = BreakpointExecutor(
-                    ensemble_size=ensemble_size, rng=SEED, backend=backend
+                    RunConfig(ensemble_size=ensemble_size, seed=SEED, backend=backend),
                 )
                 runs[backend] = executor.run_plan(plan)
             verdicts = {b: _verdicts(m) for b, m in runs.items()}
@@ -184,7 +182,12 @@ def _noisy_error_program(gates: int):
 
 def _error_rate_estimate(plan, noise, ensemble_size: int, seed: int) -> float:
     executor = BreakpointExecutor(
-        ensemble_size=ensemble_size, rng=seed, backend="stabilizer", noise=noise
+        RunConfig(
+            ensemble_size=ensemble_size,
+            seed=seed,
+            backend="stabilizer",
+            noise=noise,
+        ),
     )
     ensemble = executor.run_plan(plan)[0].joint
     weights = ensemble.weights

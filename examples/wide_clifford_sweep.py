@@ -38,14 +38,15 @@ def main() -> None:
     plan = build_execution_plan(program)
 
     try:
-        BreakpointExecutor(
-            ensemble_size=8, rng=SEED, backend="statevector"
-        ).run_plan(plan)
+        dense = RunConfig(ensemble_size=8, seed=SEED, backend="statevector")
+        BreakpointExecutor(dense).run_plan(plan)
     except ValueError as error:
         print("dense request refused before allocation:")
         print(f"  {error}\n")
 
-    executor = BreakpointExecutor(ensemble_size=32, rng=SEED, backend="auto")
+    executor = BreakpointExecutor(
+        RunConfig(ensemble_size=32, seed=SEED, backend="auto"),
+    )
     start = time.perf_counter()
     executor.run_plan(plan)
     seconds = time.perf_counter() - start
@@ -77,7 +78,7 @@ def main() -> None:
     noisy = build_repetition_code_program(num_data=12)
     noise = NoiseModel.from_channels([depolarizing(1e-4)], importance_boost=0.02)
     noisy_executor = BreakpointExecutor(
-        ensemble_size=256, rng=SEED, backend="stabilizer", noise=noise
+        RunConfig(ensemble_size=256, seed=SEED, backend="stabilizer", noise=noise),
     )
     # Breakpoint 0 asserts the first syndrome window reads 0, so the
     # weighted mass on nonzero outcomes is the syndrome-firing probability.

@@ -29,9 +29,6 @@ from .ipe_energy import (
     trotter_convergence,
 )
 from .jordan_wigner import jordan_wigner, jordan_wigner_ladder
-
-# Imported from the promoted home, not .pauli, so merely importing the
-# chemistry package does not trip the shim's DeprecationWarning.
 from ..observables.pauli import PauliString, PauliSum
 from .trotter import append_evolution, append_pauli_evolution, append_trotter_step
 from .vqe import H2VQESolver, VQEResult, build_uccd_ansatz_program, uccd_generator

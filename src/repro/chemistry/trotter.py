@@ -2,7 +2,7 @@
 
 The chemistry benchmark estimates eigenenergies by phase estimation of the
 evolution operator ``U = exp(-i H t)``.  ``H`` arrives as a
-:class:`repro.chemistry.pauli.PauliSum`; this module turns it into circuits:
+:class:`repro.observables.pauli.PauliSum`; this module turns it into circuits:
 
 * :func:`append_pauli_evolution` — ``exp(-i angle P)`` for a single Pauli
   string, via the usual basis-change + CNOT-parity-ladder + Rz construction;

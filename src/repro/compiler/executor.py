@@ -41,7 +41,7 @@ shared — so seeded runs stay reproducible under any batching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,7 +59,6 @@ from ..observables.grouping import MeasurementSetting, group_terms
 from ..sim import gates as _gates
 from ..sim.backend import SimulationBackend
 from ..sim.measurement import MeasurementEnsemble, ReadoutErrorModel
-from ..sim.noise import KrausChannel, NoiseModel
 from ..sim.memory import dense_qubit_budget
 from ..sim.registry import (
     backend_capabilities,
@@ -114,69 +113,26 @@ class ObservableMeasurements:
 class BreakpointExecutor:
     """Runs breakpoint plans/programs and produces measurement ensembles."""
 
-    def __init__(
-        self,
-        config=None,
-        *,
-        ensemble_size: int | None = None,
-        rng: np.random.Generator | int | None = None,
-        mode: str | None = None,
-        readout_error: ReadoutErrorModel | None = None,
-        backend: "str | SimulationBackend | Callable[[], SimulationBackend] | None" = None,
-        noise: "NoiseModel | KrausChannel | Sequence[KrausChannel] | None" = None,
-    ):
-        # The executor is the mechanism layer: it accepts a RunConfig (the
-        # blessed path — Session/checker construct it this way) and still
-        # takes the individual knobs for direct low-level use; explicit
-        # knobs override the config.  The knobs are keyword-only so a
-        # historical positional call fails loudly at the call site instead
-        # of deep inside RunConfig validation.
-        from ..core.config import RunConfig  # runtime import: core imports us
-
-        if isinstance(config, (int, np.integer)) and not isinstance(config, bool):
-            # Oldest positional spelling: first argument was ensemble_size.
-            if ensemble_size is None:
-                ensemble_size = int(config)
-            config = None
-        base = RunConfig.coerce(config, caller="BreakpointExecutor")
-        overrides = {}
-        if ensemble_size is not None:
-            overrides["ensemble_size"] = ensemble_size
-        if mode is not None:
-            overrides["mode"] = mode
-        if readout_error is not None:
-            overrides["readout_error"] = readout_error
-        if backend is not None:
-            overrides["backend"] = backend
-        if noise is not None:
-            overrides["noise"] = noise
-        live_rng = rng if isinstance(rng, np.random.Generator) else None
-        if rng is not None and live_rng is None:
-            overrides["seed"] = rng
-        self._configure(base.replace(**overrides) if overrides else base, live_rng)
-
-    @classmethod
-    def from_config(
-        cls, config, *, rng: np.random.Generator | None = None
-    ) -> "BreakpointExecutor":
-        """Construct from a :class:`repro.RunConfig`.
+    def __init__(self, config=None, *, rng: np.random.Generator | None = None):
+        """``config`` is a :class:`repro.RunConfig` (or mapping, or ``None``).
 
         ``rng`` optionally supplies a live generator (the checker/Session
         share one stream across runs); otherwise the executor seeds its own
         from ``config.seed``.
         """
-        executor = cls.__new__(cls)
-        executor._configure(config, rng)
-        return executor
+        from ..core.config import RunConfig  # runtime import: core imports us
 
-    def _configure(self, config, rng: np.random.Generator | None) -> None:
+        config = RunConfig.coerce(config, caller="BreakpointExecutor")
+        if rng is None:
+            rng = np.random.default_rng(config.seed)
+        elif not isinstance(rng, np.random.Generator):
+            raise TypeError(
+                "rng must be a live numpy.random.Generator or None; got "
+                f"{type(rng).__name__} (seed a run with RunConfig(seed=...))"
+            )
         self.config = config
         self.ensemble_size = config.ensemble_size
-        self.rng = (
-            rng
-            if isinstance(rng, np.random.Generator)
-            else np.random.default_rng(config.seed)
-        )
+        self.rng = rng
         self.mode = config.mode
         self.noise = config.noise
         if config.readout_error is not None:

@@ -16,7 +16,6 @@ functionality for our IR:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ..lang.instructions import (
@@ -372,7 +371,3 @@ def resource_report(program: Program) -> ResourceReport:
             1 for i in program.instructions if isinstance(i, PrepInstruction)
         ),
     )
-
-
-def _unused_math_guard() -> float:  # pragma: no cover - keeps math import honest
-    return math.pi

@@ -23,7 +23,7 @@ This module removes that redundancy at two levels:
   statistics change.
 
 The process-global :func:`default_plan_cache` is wired into
-:meth:`repro.compiler.executor.BreakpointExecutor.from_config`; hit/miss
+:class:`repro.compiler.executor.BreakpointExecutor`; hit/miss
 counters make the reuse observable from ``ExecutionPlan.describe()`` and
 ``repro.workloads.assertion_cost``.
 """

@@ -9,7 +9,7 @@ from .assertions import (
     SuperpositionAssertion,
 )
 from .checker import StatisticalAssertionChecker, build_evaluator, check_program
-from .config import RunConfig, resolve_run_config
+from .config import RunConfig
 from .exceptions import AssertionViolation, InsufficientEnsembleError, QuantumAssertionError
 from .report import BreakpointRecord, DebugReport, format_table
 from .session import Session, session
@@ -35,7 +35,6 @@ __all__ = [
     "RunConfig",
     "Session",
     "session",
-    "resolve_run_config",
     "AssertionOutcome",
     "ClassicalAssertion",
     "SuperpositionAssertion",

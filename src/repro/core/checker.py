@@ -51,7 +51,7 @@ from .assertions import (
     ProductStateAssertion,
     SuperpositionAssertion,
 )
-from .config import RunConfig, resolve_run_config
+from .config import RunConfig
 from .exceptions import AssertionViolation
 from .report import BreakpointRecord, DebugReport
 from .statistics import (
@@ -99,15 +99,13 @@ def build_evaluator(assertion: AssertionInstruction, significance: float):
 class StatisticalAssertionChecker:
     """Checks every statistical assertion in a program via simulation.
 
-    The blessed construction path takes a :class:`repro.RunConfig`::
+    The run is configured by one :class:`repro.RunConfig`::
 
         checker = StatisticalAssertionChecker(program, RunConfig(seed=7))
 
-    (or :meth:`from_config`, which additionally accepts a live shared rng —
-    that is how :class:`repro.Session` advances one stream across many
-    runs).  The historical kwarg bundle (``ensemble_size``, ``significance``,
-    ``rng``, ``mode``, ``backend``, ``readout_error``, ``noise``) still
-    works for one release but emits a :class:`DeprecationWarning`.
+    ``rng`` optionally supplies a live ``numpy.random.Generator`` to draw
+    from instead of seeding a fresh stream from ``config.seed`` — that is
+    how :class:`repro.Session` advances one stream across many runs.
 
     ``config.backend`` accepts every registry spelling (``"statevector"``,
     ``"density"``, ``"stabilizer"``, an instance, a factory) and threads it
@@ -118,48 +116,20 @@ class StatisticalAssertionChecker:
     tableau before a single tableau→statevector conversion.
     """
 
-    def __init__(self, program: Program, config=None, **legacy):
-        resolved, rng = resolve_run_config(
-            config, legacy, caller="StatisticalAssertionChecker"
-        )
-        self._configure(program, resolved, rng)
-
-    @classmethod
-    def from_config(
-        cls,
+    def __init__(
+        self,
         program: Program,
         config: "RunConfig | Mapping | None" = None,
         *,
         rng: np.random.Generator | None = None,
-    ) -> "StatisticalAssertionChecker":
-        """Construct from a :class:`repro.RunConfig` without the legacy shim.
-
-        ``rng`` optionally supplies a live generator to draw from instead of
-        seeding a fresh stream from ``config.seed``.
-        """
-        config = RunConfig.coerce(
-            config, caller="StatisticalAssertionChecker.from_config"
-        )
-        checker = cls.__new__(cls)
-        checker._configure(program, config, rng)
-        return checker
-
-    def _configure(
-        self,
-        program: Program,
-        config: RunConfig,
-        rng: np.random.Generator | None,
-    ) -> None:
+    ):
+        config = RunConfig.coerce(config, caller="StatisticalAssertionChecker")
         self.program = program
         self.config = config
         self.ensemble_size = config.ensemble_size
         self.significance = config.significance
-        self.rng = (
-            rng
-            if isinstance(rng, np.random.Generator)
-            else np.random.default_rng(config.seed)
-        )
-        self.executor = BreakpointExecutor.from_config(config, rng=self.rng)
+        self.executor = BreakpointExecutor(config, rng=rng)
+        self.rng = self.executor.rng
         #: Per-breakpoint convergence rows of the last
         #: :meth:`run_until_converged` call (empty otherwise).
         self.convergence: list[dict] = []
@@ -574,28 +544,27 @@ def check_program(
     program: Program,
     config: "RunConfig | Mapping | None" = None,
     *,
+    rng: np.random.Generator | None = None,
     converge: bool | None = None,
     se_cutoff: float | None = None,
     max_batches: int | None = None,
-    **legacy,
 ) -> DebugReport:
     """One-shot convenience wrapper around :class:`StatisticalAssertionChecker`.
 
+    ``config`` is a :class:`repro.RunConfig` (or mapping, or ``None`` for
+    defaults); ``rng`` optionally supplies a live generator to draw from.
     ``converge=True`` (or ``config.converge``) runs the adaptive
     :meth:`~StatisticalAssertionChecker.run_until_converged` path — growing
     each breakpoint's trajectory ensemble until its worst per-category
     standard error drops to ``se_cutoff`` — and attaches the per-breakpoint
-    convergence rows to the returned report.  Legacy kwargs
-    (``ensemble_size=…`` etc.) still work but emit a
-    :class:`DeprecationWarning`; pass a :class:`repro.RunConfig` instead.
+    convergence rows to the returned report.
     """
-    resolved, rng = resolve_run_config(config, legacy, caller="check_program")
-    checker = StatisticalAssertionChecker.from_config(program, resolved, rng=rng)
+    checker = StatisticalAssertionChecker(program, config, rng=rng)
     if converge is None:
         # Passing a convergence knob states convergence intent; silently
         # running fixed-size would drop the caller's cutoff on the floor.
         do_converge = (
-            resolved.converge or se_cutoff is not None or max_batches is not None
+            checker.config.converge or se_cutoff is not None or max_batches is not None
         )
     else:
         do_converge = converge

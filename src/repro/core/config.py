@@ -1,9 +1,9 @@
 """`RunConfig`: the frozen, validated, serializable run configuration.
 
-Four PRs of backend growth left the checking pipeline configured through a
-seven-kwarg bundle (``ensemble_size``, ``significance``, ``rng``, ``mode``,
-``backend``, ``readout_error``, ``noise``) copy-threaded through every layer.
-:class:`RunConfig` replaces that bundle with one first-class value:
+:class:`RunConfig` is the only way to configure a checking run: the checker,
+the executor, :func:`~repro.core.checker.check_program`, every
+:mod:`repro.workloads` sweep and the job service all take one, as a single
+first-class value:
 
 * **frozen & validated** — every field is normalised and checked at
   construction, so an invalid configuration fails where it is written, not
@@ -19,19 +19,12 @@ seven-kwarg bundle (``ensemble_size``, ``significance``, ``rng``, ``mode``,
   (``None`` keeps OS entropy).  Live ``numpy.random.Generator`` objects are
   deliberately rejected: a generator is unseedable state, not configuration —
   hold one in a :class:`repro.Session` instead.
-
-The module also hosts the deprecation shim (:func:`resolve_run_config`) that
-keeps the legacy kwarg spellings working for one release: every public entry
-point (``StatisticalAssertionChecker``, ``check_program``, the
-``repro.workloads`` sweeps) folds old-style kwargs into a ``RunConfig`` and
-emits a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable
@@ -43,27 +36,7 @@ from ..sim.measurement import ReadoutErrorModel
 from ..sim.noise import KrausChannel, NoiseModel
 from .assertions import DEFAULT_SIGNIFICANCE
 
-__all__ = [
-    "RunConfig",
-    "LEGACY_RUN_KWARGS",
-    "resolve_run_config",
-    "UNSET",
-]
-
-#: Sentinel distinguishing "argument not passed" from an explicit ``None``
-#: in the legacy-kwarg shims (several legacy kwargs default to ``None``).
-UNSET = object()
-
-#: The legacy kwarg bundle the RunConfig replaces, in its historical order.
-LEGACY_RUN_KWARGS = (
-    "ensemble_size",
-    "significance",
-    "rng",
-    "mode",
-    "backend",
-    "readout_error",
-    "noise",
-)
+__all__ = ["RunConfig"]
 
 _MODES = ("sample", "rerun")
 
@@ -449,12 +422,9 @@ class RunConfig:
     def from_dict(cls, data: Mapping) -> "RunConfig":
         """Rebuild a config from :meth:`to_dict` output.
 
-        Accepts the legacy ``"rng"`` key as an alias for ``"seed"`` and
-        rejects unknown keys (typos must not silently change a run).
+        Rejects unknown keys (typos must not silently change a run).
         """
         payload = dict(data)
-        if "rng" in payload and "seed" not in payload:
-            payload["seed"] = payload.pop("rng")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -476,59 +446,3 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         return cls.from_dict(json.loads(text))
-
-
-# -- legacy-kwarg shim ------------------------------------------------------
-
-
-def resolve_run_config(
-    config=None,
-    legacy: Mapping | None = None,
-    *,
-    caller: str,
-    stacklevel: int = 3,
-) -> "tuple[RunConfig, np.random.Generator | None]":
-    """Merge a config argument and legacy kwargs into one ``RunConfig``.
-
-    Returns ``(config, rng_override)``; ``rng_override`` is a live generator
-    when the caller passed one through the legacy ``rng=`` kwarg (shared
-    streams are how the sweeps advance one stream across many runs).  Any
-    explicitly passed legacy kwarg emits one :class:`DeprecationWarning`
-    naming the caller and the replacement.
-
-    ``config`` may be a :class:`RunConfig`, a mapping (fed through
-    :meth:`RunConfig.from_dict`), a bare int (the oldest positional
-    ``ensemble_size`` spelling), or ``None``.
-    """
-    legacy = {
-        key: value
-        for key, value in dict(legacy or {}).items()
-        if value is not UNSET
-    }
-    unknown = set(legacy) - set(LEGACY_RUN_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"{caller}() got unexpected keyword argument(s) {sorted(unknown)}"
-        )
-    if isinstance(config, (int, np.integer)) and not isinstance(config, bool):
-        # Oldest positional spelling: the second argument was ensemble_size.
-        legacy.setdefault("ensemble_size", int(config))
-        config = None
-    base = RunConfig.coerce(config, caller=caller)
-    rng_override: np.random.Generator | None = None
-    if legacy:
-        warnings.warn(
-            f"{caller}: passing {', '.join(sorted(legacy))} as keyword "
-            "argument(s) is deprecated; pass config=RunConfig(...) (or use "
-            "repro.session(...)) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        rng = legacy.pop("rng", None)
-        if isinstance(rng, np.random.Generator):
-            rng_override = rng
-        elif rng is not None:
-            legacy["seed"] = rng
-        if legacy:
-            base = base.replace(**legacy)
-    return base, rng_override

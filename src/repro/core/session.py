@@ -89,9 +89,7 @@ class Session:
 
     def checker(self, program: Program) -> StatisticalAssertionChecker:
         """A checker for ``program`` wired to this session's config and stream."""
-        return StatisticalAssertionChecker.from_config(
-            program, self._config, rng=self._rng
-        )
+        return StatisticalAssertionChecker(program, self._config, rng=self._rng)
 
     def check(
         self,

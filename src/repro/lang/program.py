@@ -21,7 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..sim.backend import SimulationBackend, make_backend
+from ..sim.backend import SimulationBackend
+from ..sim.registry import make_backend
 from ..sim.statevector import Statevector
 from ..observables.pauli import PauliString, PauliSum
 from .instructions import (

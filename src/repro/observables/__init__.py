@@ -1,8 +1,7 @@
 """Pauli-observable estimation: the `AssertObservable` subsystem.
 
 ``pauli``     — :class:`PauliString` / :class:`PauliSum` algebra with
-                symplectic ``(x, z)`` mask interop (promoted from
-                ``repro.chemistry.pauli``, which is now a shim).
+                symplectic ``(x, z)`` mask interop.
 ``grouping``  — tensor-product-basis grouping of qubit-wise-commuting terms
                 into shared measurement settings.
 ``estimation``— basis-rotation fragments, eigenvalue-product estimators and

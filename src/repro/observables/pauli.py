@@ -12,9 +12,6 @@ the operator on qubit ``q`` is ``X`` or ``Y``, bit ``q`` of ``z`` set for
 ``Z`` or ``Y``) matches :meth:`repro.sim.pauli_frame.PauliFrameSet.masks`
 and the stabilizer tableau's row encoding, so strings flow into the packed
 kernels without conversion glue.
-
-Historically this module lived at ``repro.chemistry.pauli``; that path is
-now a deprecation shim re-exporting these classes.
 """
 
 from __future__ import annotations

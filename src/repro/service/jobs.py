@@ -291,7 +291,7 @@ class LocalService:
         if not config.static_preflight:
             return None
         try:
-            checker = StatisticalAssertionChecker.from_config(program, config)
+            checker = StatisticalAssertionChecker(program, config)
             return checker.try_static_report()
         except Exception:
             # Static analysis must never take a submission down; the job
@@ -327,7 +327,10 @@ class LocalService:
 
     def _run_job(self, job: Job) -> None:
         try:
-            policy = RetryPolicy.from_config(job.config)
+            policy = RetryPolicy(
+                max_retries=job.config.max_retries,
+                backoff_base=job.config.backoff_base,
+            )
             crashes = 0
             while True:
                 if job._cancel.is_set():

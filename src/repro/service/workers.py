@@ -57,12 +57,6 @@ class RetryPolicy:
     backoff_cap: float = 5.0
     jitter: float = 0.5
 
-    @classmethod
-    def from_config(cls, config: RunConfig) -> "RetryPolicy":
-        return cls(
-            max_retries=config.max_retries, backoff_base=config.backoff_base
-        )
-
     def retries_left(self, failures: int) -> bool:
         """Whether another attempt is allowed after ``failures`` failures."""
         return failures <= self.max_retries

@@ -3,7 +3,6 @@
 from . import clifford, gates, kernels, registry
 from .backend import SimulationBackend, StatevectorBackend
 from .registry import (
-    BACKENDS,
     BackendCapabilities,
     BackendEntry,
     backend_capabilities,
@@ -64,7 +63,6 @@ __all__ = [
     "spawn_trajectory_streams",
     "PauliFrameSet",
     "NotCliffordGateError",
-    "BACKENDS",
     "BackendCapabilities",
     "BackendEntry",
     "backend_capabilities",

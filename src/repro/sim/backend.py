@@ -25,7 +25,7 @@ Two capabilities distinguish the interface from a bare statevector:
 from __future__ import annotations
 
 import abc
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,26 +33,7 @@ from . import gates as _gates
 from .kernels import apply_controlled_inplace, apply_matrix_inplace
 from .statevector import Statevector
 
-__all__ = [
-    "SimulationBackend",
-    "StatevectorBackend",
-    "BACKENDS",
-    "register_backend",
-    "make_backend",
-]
-
-#: Names whose implementation moved to :mod:`repro.sim.registry`; re-exported
-#: lazily (PEP 562) so ``from repro.sim.backend import make_backend`` keeps
-#: working without a circular import at module load.
-_REGISTRY_EXPORTS = ("BACKENDS", "register_backend", "make_backend")
-
-
-def __getattr__(name: str):
-    if name in _REGISTRY_EXPORTS:
-        from . import registry
-
-        return getattr(registry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["SimulationBackend", "StatevectorBackend"]
 
 
 class SimulationBackend(abc.ABC):
@@ -321,9 +302,3 @@ class StatevectorBackend(SimulationBackend):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         qubits = self._state.num_qubits if self._state is not None else None
         return f"StatevectorBackend(num_qubits={qubits})"
-
-
-# The backend registry itself (BACKENDS / register_backend / make_backend)
-# lives in repro.sim.registry, together with the capability metadata that
-# drives declarative noise and "auto" routing; the module __getattr__ above
-# keeps the historical import spellings working.

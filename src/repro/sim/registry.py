@@ -25,7 +25,6 @@ to the new backend.
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -36,7 +35,6 @@ from .backend import SimulationBackend, StatevectorBackend
 __all__ = [
     "BackendCapabilities",
     "BackendEntry",
-    "BACKENDS",
     "register_backend",
     "unregister_backend",
     "list_backends",
@@ -222,39 +220,6 @@ def resolve_backend_name(
     if entry.clifford_aware and clifford is True:
         return clifford_backend_name()
     return resolved
-
-
-class _RegistryView(MutableMapping):
-    """Dict-compatible ``name -> zero-argument factory`` view of the registry.
-
-    Kept for compatibility with the original flat-dict registry: reads
-    return the plain factory, writes register with default capabilities,
-    and deletions unregister.
-    """
-
-    def __getitem__(self, name: str) -> Callable[[], SimulationBackend]:
-        return get_backend_entry(name).factory
-
-    def __setitem__(
-        self, name: str, factory: Callable[[], SimulationBackend]
-    ) -> None:
-        register_backend(name, factory)
-
-    def __delitem__(self, name: str) -> None:
-        unregister_backend(name)
-
-    def __iter__(self):
-        return iter(_REGISTRY)
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BACKENDS({sorted(_REGISTRY)})"
-
-
-#: Compatibility view over the registry (name -> zero-argument factory).
-BACKENDS = _RegistryView()
 
 
 def make_backend(

@@ -38,7 +38,7 @@ from ..chemistry.h2 import (
 )
 from ..chemistry.trotter import append_evolution
 from ..chemistry.vqe import build_uccd_ansatz_program
-from ..core.config import RunConfig, UNSET
+from ..core.config import RunConfig
 from ..core.session import Session
 from ..lang.program import Program
 from ..observables.pauli import PauliString, PauliSum
@@ -274,10 +274,6 @@ def get_observable_scenario(name: str) -> ObservableScenario:
 def observable_detection_sweep(
     names: "Sequence[str] | None" = None,
     trials: int = 10,
-    ensemble_size=UNSET,
-    significance=UNSET,
-    rng=UNSET,
-    backend=UNSET,
     *,
     config: "RunConfig | None" = None,
     session: "Session | None" = None,
@@ -291,8 +287,6 @@ def observable_detection_sweep(
     base = _session_for(
         "observable_detection_sweep", config, session,
         default_backend="auto", sweep_defaults={"ensemble_size": 8},
-        ensemble_size=ensemble_size, significance=significance, rng=rng,
-        backend=backend,
     )
     rows = []
     for name in names or observable_scenario_names():

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..core.config import RunConfig, UNSET
+from ..core.config import RunConfig
 from ..core.session import Session
 from ..lang.program import Program
 from .ensembles import _session_for
@@ -259,12 +259,8 @@ def get_clifford_scenario(name: str) -> CliffordScenario:
 def clifford_detection_sweep(
     widths: Sequence[int] = (8, 16, 24, 32),
     names: Sequence[str] | None = None,
-    ensemble_size=UNSET,
-    trials: int = 10,
-    significance=UNSET,
-    rng=UNSET,
-    backend=UNSET,
     *,
+    trials: int = 10,
     config: RunConfig | None = None,
     session: Session | None = None,
 ) -> list[dict]:
@@ -278,8 +274,6 @@ def clifford_detection_sweep(
     base = _session_for(
         "clifford_detection_sweep", config, session,
         default_backend="stabilizer", sweep_defaults={"ensemble_size": 32},
-        ensemble_size=ensemble_size, significance=significance, rng=rng,
-        backend=backend,
     )
     rows = []
     for name in names or clifford_scenario_names():

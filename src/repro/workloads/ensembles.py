@@ -10,9 +10,7 @@ Every sweep runs through a :class:`repro.Session`: pass ``config=RunConfig(...)`
 (or ``session=`` an existing session to share its rng stream — that is what
 ``Session.sweep`` does), and the sweep derives one config per sweep point
 while all points draw from a single stream, keeping a seeded sweep one
-reproducible experiment.  The historical kwarg bundle (``ensemble_size=``,
-``rng=``, ``backend=`` …) still works for one release but emits a
-:class:`DeprecationWarning`.
+reproducible experiment.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..compiler.plan_cache import default_plan_cache
-from ..core.config import RunConfig, UNSET, resolve_run_config
+from ..core.config import RunConfig
 from ..core.session import Session
 from ..lang.program import Program
 from ..sim.backend import SimulationBackend
@@ -70,41 +68,26 @@ def _session_for(
     session: "Session | None",
     default_backend: "BackendSpec" = None,
     sweep_defaults: dict | None = None,
-    **legacy,
 ) -> Session:
-    """Resolve ``config``/``session``/legacy kwargs into one run session.
+    """Resolve ``config``/``session`` into one run session.
 
     ``session`` wins and shares its live stream; ``config`` seeds a fresh
-    one.  Explicit legacy kwargs are folded in with a deprecation warning
-    (via :func:`repro.core.config.resolve_run_config`).  ``sweep_defaults``
-    are this sweep's historical defaults (e.g. a wider ensemble), applied
-    only when the caller supplied neither a config nor the kwarg; a sweep's
-    ``default_backend`` applies whenever the resolved backend is ``None``.
+    one.  ``sweep_defaults`` are this sweep's own defaults (e.g. a wider
+    ensemble), applied only when the caller supplied neither a config nor a
+    session; a sweep's ``default_backend`` applies whenever the resolved
+    backend is ``None``.
     """
-    if session is not None and config is not None:
-        raise TypeError(f"{caller}: pass either config= or session=, not both")
-    filtered = {key: value for key, value in legacy.items() if value is not UNSET}
-    base_config = session.config if session is not None else config
-    resolved, rng_override = resolve_run_config(
-        base_config, filtered, caller=caller, stacklevel=4
-    )
-    if config is None and session is None and sweep_defaults:
-        applicable = {
-            key: value
-            for key, value in sweep_defaults.items()
-            if key not in filtered
-        }
-        if applicable:
-            resolved = resolved.replace(**applicable)
-    if default_backend is not None and resolved.backend is None:
-        resolved = resolved.replace(backend=default_backend)
-    run = Session(resolved)
-    if rng_override is not None:
-        run._rng = rng_override
-    elif session is not None and "rng" not in filtered:
-        # Share the caller's live stream — unless an explicit legacy rng
-        # seed was passed, which must win (Session already seeded from it).
-        run._rng = session.rng
+    if session is not None:
+        if config is not None:
+            raise TypeError(f"{caller}: pass either config= or session=, not both")
+        run = session
+    else:
+        base = RunConfig.coerce(config, caller=caller)
+        if config is None and sweep_defaults:
+            base = base.replace(**sweep_defaults)
+        run = Session(base)
+    if default_backend is not None and run.config.backend is None:
+        run = run._derive(backend=default_backend)
     return run
 
 
@@ -161,45 +144,25 @@ def _repeat_checks(
 
 def detection_rate(
     build_buggy_program: "Callable[[], Program] | Program",
-    ensemble_size=UNSET,
-    trials: int = 20,
-    significance=UNSET,
-    rng=UNSET,
-    backend=UNSET,
-    readout_error=UNSET,
-    noise=UNSET,
     *,
+    trials: int = 20,
     config: RunConfig | None = None,
     session: Session | None = None,
 ) -> float:
     """Fraction of checking runs on a *buggy* program in which some assertion fails."""
-    run = _session_for(
-        "detection_rate", config, session,
-        ensemble_size=ensemble_size, significance=significance, rng=rng,
-        backend=backend, readout_error=readout_error, noise=noise,
-    )
+    run = _session_for("detection_rate", config, session)
     return _repeat_checks(build_buggy_program, run, trials).failure_fraction
 
 
 def false_positive_rate(
     build_correct_program: "Callable[[], Program] | Program",
-    ensemble_size=UNSET,
-    trials: int = 20,
-    significance=UNSET,
-    rng=UNSET,
-    backend=UNSET,
-    readout_error=UNSET,
-    noise=UNSET,
     *,
+    trials: int = 20,
     config: RunConfig | None = None,
     session: Session | None = None,
 ) -> float:
     """Fraction of checking runs on a *correct* program in which some assertion fails."""
-    run = _session_for(
-        "false_positive_rate", config, session,
-        ensemble_size=ensemble_size, significance=significance, rng=rng,
-        backend=backend, readout_error=readout_error, noise=noise,
-    )
+    run = _session_for("false_positive_rate", config, session)
     return _repeat_checks(build_correct_program, run, trials).failure_fraction
 
 
@@ -208,18 +171,12 @@ def ensemble_size_sweep(
     build_buggy_program: "Callable[[], Program] | Program",
     sizes: Sequence[int] = (4, 8, 16, 32, 64),
     trials: int = 20,
-    significance=UNSET,
-    rng=UNSET,
-    backend=UNSET,
     *,
     config: RunConfig | None = None,
     session: Session | None = None,
 ) -> list[dict]:
     """Detection rate and false-positive rate as functions of the ensemble size."""
-    base = _session_for(
-        "ensemble_size_sweep", config, session,
-        significance=significance, rng=rng, backend=backend,
-    )
+    base = _session_for("ensemble_size_sweep", config, session)
     rows = []
     for size in sizes:
         point = base._derive(ensemble_size=size)
@@ -241,19 +198,13 @@ def significance_sweep(
     build_correct_program: "Callable[[], Program] | Program",
     build_buggy_program: "Callable[[], Program] | Program",
     significances: Sequence[float] = (0.01, 0.05, 0.10),
-    ensemble_size=UNSET,
-    trials: int = 20,
-    rng=UNSET,
-    backend=UNSET,
     *,
+    trials: int = 20,
     config: RunConfig | None = None,
     session: Session | None = None,
 ) -> list[dict]:
     """Detection/false-positive trade-off as the significance level varies."""
-    base = _session_for(
-        "significance_sweep", config, session,
-        ensemble_size=ensemble_size, rng=rng, backend=backend,
-    )
+    base = _session_for("significance_sweep", config, session)
     rows = []
     for significance_level in significances:
         point = base._derive(significance=significance_level)
@@ -275,12 +226,8 @@ def readout_error_sweep(
     build_correct_program: "Callable[[], Program] | Program",
     build_buggy_program: "Callable[[], Program] | Program",
     error_rates: Sequence[float] = (0.0, 0.01, 0.05),
-    ensemble_size=UNSET,
-    trials: int = 20,
-    significance=UNSET,
-    rng=UNSET,
-    backend=UNSET,
     *,
+    trials: int = 20,
     config: RunConfig | None = None,
     session: Session | None = None,
 ) -> list[dict]:
@@ -293,9 +240,7 @@ def readout_error_sweep(
     cross-backend consistency experiment.
     """
     base = _session_for(
-        "readout_error_sweep", config, session, default_backend="density",
-        ensemble_size=ensemble_size, significance=significance, rng=rng,
-        backend=backend,
+        "readout_error_sweep", config, session, default_backend="density"
     )
     rows = []
     for rate in error_rates:
@@ -333,12 +278,8 @@ def gate_noise_sweep(
     build_buggy_program: "Callable[[], Program] | Program",
     error_rates: Sequence[float] = (0.0, 0.002, 0.01),
     channel: Callable[[float], "KrausChannel"] = depolarizing,
-    ensemble_size=UNSET,
-    trials: int = 20,
-    significance=UNSET,
-    rng=UNSET,
-    backend=UNSET,
     *,
+    trials: int = 20,
     config: RunConfig | None = None,
     session: Session | None = None,
 ) -> list[dict]:
@@ -352,9 +293,7 @@ def gate_noise_sweep(
     need ``4^n`` memory.  ``p = 0`` runs noiseless for a clean baseline.
     """
     base = _session_for(
-        "gate_noise_sweep", config, session, default_backend="trajectory",
-        ensemble_size=ensemble_size, significance=significance, rng=rng,
-        backend=backend,
+        "gate_noise_sweep", config, session, default_backend="trajectory"
     )
     rows = []
     for rate in error_rates:

@@ -9,8 +9,8 @@ scenarios even a statevector is out of reach; there the executor routes the
 same Pauli models onto tableau Pauli frames, where a noise event costs two
 bit-flips per member.
 
-Both sweeps accept ``config=RunConfig(...)`` / ``session=`` like every other
-workload sweep; the legacy kwarg bundle is deprecated.
+Both sweeps take ``config=RunConfig(...)`` or ``session=`` like every other
+workload sweep.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from ..algorithms.shor import build_shor_program
-from ..core.config import RunConfig, UNSET
+from ..core.config import RunConfig
 from ..core.session import Session
 from ..lang.program import Program
 from ..sim.noise import KrausChannel, depolarizing
@@ -54,12 +54,8 @@ def build_shor_noise_workload(buggy: bool = False) -> Program:
 def shor_gate_noise_sweep(
     error_rates: Sequence[float] = (0.0, 1e-4, 1e-3),
     channel: Callable[[float], KrausChannel] = depolarizing,
-    ensemble_size=UNSET,
-    trials: int = 3,
-    significance=UNSET,
-    rng=UNSET,
-    backend=UNSET,
     *,
+    trials: int = 3,
     config: RunConfig | None = None,
     session: Session | None = None,
 ) -> list[dict]:
@@ -70,9 +66,7 @@ def shor_gate_noise_sweep(
     13-qubit plan — the sweep the ROADMAP flagged as out of density reach.
     """
     base = _session_for(
-        "shor_gate_noise_sweep", config, session, default_backend="trajectory",
-        ensemble_size=ensemble_size, significance=significance, rng=rng,
-        backend=backend,
+        "shor_gate_noise_sweep", config, session, default_backend="trajectory"
     )
     rows = []
     for rate in error_rates:
@@ -99,12 +93,8 @@ def clifford_gate_noise_sweep(
     error_rates: Sequence[float] = (0.0, 0.01),
     channel: Callable[[float], KrausChannel] = depolarizing,
     scenario: str = "ghz_broken_link",
-    ensemble_size=UNSET,
-    trials: int = 3,
-    significance=UNSET,
-    rng=UNSET,
-    backend=UNSET,
     *,
+    trials: int = 3,
     config: RunConfig | None = None,
     session: Session | None = None,
 ) -> list[dict]:
@@ -118,8 +108,6 @@ def clifford_gate_noise_sweep(
     base = _session_for(
         "clifford_gate_noise_sweep", config, session,
         default_backend="stabilizer", sweep_defaults={"ensemble_size": 32},
-        ensemble_size=ensemble_size, significance=significance, rng=rng,
-        backend=backend,
     )
     spec = get_clifford_scenario(scenario)
     rows = []

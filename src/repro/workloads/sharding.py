@@ -149,10 +149,10 @@ def run_sharded_points(
     of surfacing ``BrokenProcessPool`` and losing the sweep, the finished
     points are kept, a fresh pool is spun up, and only the unfinished
     points are resubmitted — the same bounded retry/backoff policy the job
-    service applies to crashed workers (``retry`` defaults to
-    ``RetryPolicy.from_config`` of the first point's config).  Each
-    resubmission is the identical seeded payload, so a recovered sweep is
-    byte-identical to an uninterrupted one.  Points whose crashes exhaust
+    service applies to crashed workers (``retry`` defaults to the first
+    point's ``max_retries``/``backoff_base``).  Each resubmission is the
+    identical seeded payload, so a recovered sweep is byte-identical to an
+    uninterrupted one.  Points whose crashes exhaust
     the budget raise a ``RuntimeError`` naming them.
     """
     workers = available_workers(max_workers)
@@ -164,7 +164,10 @@ def run_sharded_points(
         return [DebugReport.from_json(text) for text in texts]
 
     if retry is None:
-        retry = RetryPolicy.from_config(points[0][1])
+        first = points[0][1]
+        retry = RetryPolicy(
+            max_retries=first.max_retries, backoff_base=first.backoff_base
+        )
     payloads = {
         index: (pickle.dumps(program), config.to_json())
         for index, (program, config) in enumerate(points)

@@ -13,7 +13,7 @@ from repro.algorithms.arithmetic import (
     build_cadd_test_harness,
 )
 from repro.algorithms.qft import append_iqft, append_qft
-from repro.core import check_program
+from repro.core import RunConfig, check_program
 from repro.lang import Program
 from repro.sim import adder_permutation
 
@@ -97,20 +97,26 @@ class TestControlledAdder:
         append_phi_add_const(program, b, 4, controls=ctrl)
         append_iqft(program, b)
         program.assert_entangled(ctrl, b)
-        report = check_program(program, ensemble_size=32, rng=11)
+        report = check_program(program, RunConfig(ensemble_size=32, seed=11))
         assert report.passed
 
 
 class TestListing3Harness:
     def test_correct_adder_passes_postcondition(self, rng):
-        report = check_program(build_cadd_test_harness(), ensemble_size=16, rng=rng)
+        report = check_program(
+            build_cadd_test_harness(),
+            RunConfig(ensemble_size=16),
+            rng=rng,
+        )
         assert report.passed
         assert report.p_values() == [1.0, 1.0]
 
     def test_flipped_angles_bug_gives_pvalue_zero(self, rng):
         """Section 4.3: the Table 1 bug makes the output assertion return p = 0.0."""
         report = check_program(
-            build_cadd_test_harness(angle_sign=-1.0), ensemble_size=16, rng=rng
+            build_cadd_test_harness(angle_sign=-1.0),
+            RunConfig(ensemble_size=16),
+            rng=rng,
         )
         assert not report.passed
         assert report.records[0].p_value == 1.0  # precondition still fine
@@ -123,7 +129,7 @@ class TestListing3Harness:
     def test_other_operand_values(self, rng):
         report = check_program(
             build_cadd_test_harness(width=6, b_value=20, constant=21),
-            ensemble_size=16,
+            RunConfig(ensemble_size=16),
             rng=rng,
         )
         assert report.passed

@@ -12,7 +12,7 @@ from repro.algorithms.grover import (
     optimal_iterations,
     run_grover,
 )
-from repro.core import check_program
+from repro.core import RunConfig, check_program
 from repro.lang import auto_place_assertions
 
 
@@ -130,14 +130,14 @@ class TestGrover:
 
     def test_assertions_pass_on_correct_program(self):
         circuit = build_grover_program(degree=3, target=5, style="projectq")
-        report = check_program(circuit.program, ensemble_size=32, rng=3)
+        report = check_program(circuit.program, RunConfig(ensemble_size=32, seed=3))
         assert report.passed, report.summary()
         types = [r.outcome.assertion_type for r in report.records]
         assert types == ["superposition", "classical", "product"]
 
     def test_scaffold_style_assertions_pass(self):
         circuit = build_grover_program(degree=3, target=5, style="scaffold")
-        report = check_program(circuit.program, ensemble_size=32, rng=3)
+        report = check_program(circuit.program, RunConfig(ensemble_size=32, seed=3))
         assert report.passed
 
     def test_auto_placed_assertions_match_manual_intent(self):
@@ -150,7 +150,7 @@ class TestGrover:
         circuit = build_grover_program(degree=3, target=5, style="projectq", with_assertions=False)
         all_suggestions = auto_place_assertions(circuit.program, kinds=("product",))
         assert all_suggestions and all(s.kind == "product" for s in all_suggestions)
-        report = check_program(circuit.program, ensemble_size=32, rng=4)
+        report = check_program(circuit.program, RunConfig(ensemble_size=32, seed=4))
         assert report.passed
         assert all(r.outcome.assertion_type == "product" for r in report.records)
 

@@ -13,7 +13,7 @@ from repro.algorithms.modular import (
     modular_inverse,
 )
 from repro.algorithms.qft import append_iqft, append_qft
-from repro.core import check_program
+from repro.core import RunConfig, check_program
 from repro.lang import Program
 
 
@@ -150,7 +150,10 @@ class TestControlledModularMultiplier:
 class TestListing4Harness:
     def test_correct_harness_reproduces_paper_pvalues(self):
         """Section 4.4/4.5: entangled p ~= 0.0005, product p = 1.0 at 16 samples."""
-        report = check_program(build_cmodmul_test_harness(), ensemble_size=16, rng=0)
+        report = check_program(
+            build_cmodmul_test_harness(),
+            RunConfig(ensemble_size=16, seed=0),
+        )
         assert report.passed
         by_type = {r.outcome.assertion_type: r.p_value for r in report.records}
         assert by_type["entangled"] == pytest.approx(0.000465, abs=5e-4)
@@ -159,7 +162,8 @@ class TestListing4Harness:
     def test_wrong_modular_inverse_detected(self):
         """Section 4.5: a_inv = 12 leaves the registers entangled (small p)."""
         report = check_program(
-            build_cmodmul_test_harness(inverse_multiplier=12), ensemble_size=16, rng=0
+            build_cmodmul_test_harness(inverse_multiplier=12),
+            RunConfig(ensemble_size=16, seed=0),
         )
         assert not report.passed
         product_record = next(
@@ -171,8 +175,7 @@ class TestListing4Harness:
         """Section 4.4: mis-routed controls make the entanglement assertion fail."""
         report = check_program(
             build_cmodmul_test_harness(control_bug_duplicate=True),
-            ensemble_size=16,
-            rng=0,
+            RunConfig(ensemble_size=16, seed=0),
         )
         entangled_record = next(
             r for r in report.records if r.outcome.assertion_type == "entangled"

@@ -10,7 +10,7 @@ from repro.algorithms.oracles import (
     run_bernstein_vazirani,
     run_deutsch_jozsa,
 )
-from repro.core import check_program
+from repro.core import RunConfig, check_program
 
 
 class TestBernsteinVazirani:
@@ -28,7 +28,7 @@ class TestBernsteinVazirani:
 
     def test_assertions_pass(self, rng):
         program, _ = build_bernstein_vazirani_program(0b110, 3)
-        report = check_program(program, ensemble_size=32, rng=rng)
+        report = check_program(program, RunConfig(ensemble_size=32), rng=rng)
         assert report.passed
         assert [r.outcome.assertion_type for r in report.records] == [
             "superposition",
@@ -40,7 +40,7 @@ class TestBernsteinVazirani:
         program, query = build_bernstein_vazirani_program(0b110, 3, with_assertions=False)
         # Insert a deliberately wrong postcondition before the measurement.
         program.assert_classical(query, 0b011, label="wrong expectation")
-        report = check_program(program, ensemble_size=16, rng=rng)
+        report = check_program(program, RunConfig(ensemble_size=16), rng=rng)
         assert not report.passed
 
     def test_out_of_range_hidden_string(self):
@@ -73,7 +73,7 @@ class TestDeutschJozsa:
         # superposition assertion from making this test flaky.
         for kind in ("constant0", "balanced"):
             program, _ = build_deutsch_jozsa_program(kind, 3)
-            report = check_program(program, ensemble_size=32, rng=3)
+            report = check_program(program, RunConfig(ensemble_size=32, seed=3))
             assert report.passed, kind
 
     def test_invalid_inputs(self):

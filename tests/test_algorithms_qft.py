@@ -9,7 +9,7 @@ from repro.algorithms.qft import (
     build_qft_program,
     build_qft_test_harness,
 )
-from repro.core import check_program
+from repro.core import RunConfig, check_program
 from repro.lang import Program
 from repro.sim import dft_matrix
 
@@ -73,7 +73,11 @@ class TestQftUnitary:
 
 class TestListing1Harness:
     def test_harness_passes_all_three_assertions(self, rng):
-        report = check_program(build_qft_test_harness(), ensemble_size=64, rng=rng)
+        report = check_program(
+            build_qft_test_harness(),
+            RunConfig(ensemble_size=64),
+            rng=rng,
+        )
         assert report.passed, report.summary()
         assert report.num_breakpoints == 3
         types = [r.outcome.assertion_type for r in report.records]
@@ -81,7 +85,9 @@ class TestListing1Harness:
 
     def test_harness_with_other_values(self, rng):
         report = check_program(
-            build_qft_test_harness(width=3, value=6), ensemble_size=64, rng=rng
+            build_qft_test_harness(width=3, value=6),
+            RunConfig(ensemble_size=64),
+            rng=rng,
         )
         assert report.passed
 
@@ -90,6 +96,10 @@ class TestListing1Harness:
             build_qft_test_harness(width=3, value=9)
 
     def test_classical_pvalues_are_exactly_one(self, rng):
-        report = check_program(build_qft_test_harness(), ensemble_size=32, rng=rng)
+        report = check_program(
+            build_qft_test_harness(),
+            RunConfig(ensemble_size=32),
+            rng=rng,
+        )
         assert report.records[0].p_value == 1.0
         assert report.records[2].p_value == 1.0

@@ -12,7 +12,7 @@ from repro.algorithms.shor import (
     shor_joint_distribution,
     table2_rows,
 )
-from repro.core import check_program
+from repro.core import RunConfig, check_program
 
 
 class TestClassicalDriver:
@@ -66,7 +66,10 @@ class TestShorCircuit:
         assert np.allclose(table[1:, :], 0.0, atol=1e-9)
 
     def test_assertions_pass_on_correct_program(self, correct_circuit):
-        report = check_program(correct_circuit.program, ensemble_size=32, rng=5)
+        report = check_program(
+            correct_circuit.program,
+            RunConfig(ensemble_size=32, seed=5),
+        )
         assert report.passed, report.summary()
         assert report.num_breakpoints == 4
 
@@ -94,7 +97,10 @@ class TestShorCircuit:
         assert nonzero == {0, 2, 7, 8, 13}
 
     def test_assertions_catch_wrong_inverse(self, buggy_circuit):
-        report = check_program(buggy_circuit.program, ensemble_size=32, rng=5)
+        report = check_program(
+            buggy_circuit.program,
+            RunConfig(ensemble_size=32, seed=5),
+        )
         assert not report.passed
         failing_types = {r.outcome.assertion_type for r in report.failures()}
         assert "classical" in failing_types  # ancilla no longer returns to 0

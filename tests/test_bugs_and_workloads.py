@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bugs import BUG_CATALOG, BUG_SCENARIOS, BugType, defense_for, get_scenario, scenario_names
-from repro.core import check_program
+from repro.core import RunConfig, check_program
 from repro.workloads import (
     assertion_cost,
     detection_rate,
@@ -45,7 +45,8 @@ class TestScenarios:
     def test_correct_program_passes(self, name):
         scenario = BUG_SCENARIOS[name]
         report = check_program(
-            scenario.build_correct(), ensemble_size=scenario.ensemble_size, rng=7
+            scenario.build_correct(),
+            RunConfig(ensemble_size=scenario.ensemble_size, seed=7),
         )
         assert report.passed, f"{name}: {report.summary()}"
 
@@ -53,7 +54,8 @@ class TestScenarios:
     def test_buggy_program_is_caught(self, name):
         scenario = BUG_SCENARIOS[name]
         report = check_program(
-            scenario.build_buggy(), ensemble_size=scenario.ensemble_size, rng=7
+            scenario.build_buggy(),
+            RunConfig(ensemble_size=scenario.ensemble_size, seed=7),
         )
         assert not report.passed, f"{name} was not caught"
 
@@ -61,7 +63,8 @@ class TestScenarios:
     def test_bug_is_caught_by_the_advertised_assertion(self, name):
         scenario = BUG_SCENARIOS[name]
         report = check_program(
-            scenario.build_buggy(), ensemble_size=scenario.ensemble_size, rng=11
+            scenario.build_buggy(),
+            RunConfig(ensemble_size=scenario.ensemble_size, seed=11),
         )
         failing_types = {record.outcome.assertion_type for record in report.failures()}
         assert scenario.catching_assertion in failing_types
@@ -70,12 +73,20 @@ class TestScenarios:
 class TestWorkloads:
     def test_detection_rate_on_obvious_bug(self):
         scenario = BUG_SCENARIOS["flipped_rotation_angles"]
-        rate = detection_rate(scenario.build_buggy, ensemble_size=8, trials=5, rng=1)
+        rate = detection_rate(
+            scenario.build_buggy,
+            trials=5,
+            config=RunConfig(ensemble_size=8, seed=1),
+        )
         assert rate == 1.0
 
     def test_false_positive_rate_on_correct_program(self):
         scenario = BUG_SCENARIOS["flipped_rotation_angles"]
-        rate = false_positive_rate(scenario.build_correct, ensemble_size=8, trials=5, rng=1)
+        rate = false_positive_rate(
+            scenario.build_correct,
+            trials=5,
+            config=RunConfig(ensemble_size=8, seed=1),
+        )
         assert rate == 0.0
 
     def test_ensemble_size_sweep_shape(self):
@@ -85,7 +96,7 @@ class TestWorkloads:
             scenario.build_buggy,
             sizes=(8, 16),
             trials=3,
-            rng=2,
+            config=RunConfig(seed=2),
         )
         assert [row["ensemble_size"] for row in rows] == [8, 16]
         for row in rows:
@@ -95,8 +106,16 @@ class TestWorkloads:
     def test_detection_improves_with_ensemble_size(self):
         """More measurements -> the entanglement assertion flags the routing bug more often."""
         scenario = BUG_SCENARIOS["control_routing"]
-        small = detection_rate(scenario.build_buggy, ensemble_size=4, trials=8, rng=3)
-        large = detection_rate(scenario.build_buggy, ensemble_size=64, trials=8, rng=3)
+        small = detection_rate(
+            scenario.build_buggy,
+            trials=8,
+            config=RunConfig(ensemble_size=4, seed=3),
+        )
+        large = detection_rate(
+            scenario.build_buggy,
+            trials=8,
+            config=RunConfig(ensemble_size=64, seed=3),
+        )
         assert large >= small
 
     def test_significance_sweep_shape(self):
@@ -105,9 +124,8 @@ class TestWorkloads:
             scenario.build_correct,
             scenario.build_buggy,
             significances=(0.01, 0.1),
-            ensemble_size=8,
             trials=3,
-            rng=4,
+            config=RunConfig(ensemble_size=8, seed=4),
         )
         assert [row["significance"] for row in rows] == [0.01, 0.1]
 

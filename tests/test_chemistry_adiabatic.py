@@ -12,7 +12,7 @@ from repro.chemistry import (
 )
 from repro.chemistry.adiabatic import append_adiabatic_evolution
 from repro.chemistry.h2 import assignment_to_basis_state
-from repro.chemistry.pauli import PauliString, PauliSum
+from repro.observables import PauliString, PauliSum
 from repro.lang import Program
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.chemistry import FermionOperator, jordan_wigner, jordan_wigner_ladder
-from repro.chemistry.pauli import PauliString, PauliSum
+from repro.observables import PauliString, PauliSum
 
 
 class TestFermionOperator:

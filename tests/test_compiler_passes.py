@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import RunConfig
 from repro.compiler import (
     decompose_controlled_rotations,
     decompose_multi_controls,
@@ -180,7 +181,7 @@ class TestControlledPhaseAndFullLowering:
         from repro.core import check_program
 
         program = lower_to_basis(build_cadd_test_harness())
-        report = check_program(program, ensemble_size=8, rng=3)
+        report = check_program(program, RunConfig(ensemble_size=8, seed=3))
         assert report.passed
 
 

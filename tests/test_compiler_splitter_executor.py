@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import RunConfig
 from repro.compiler import BreakpointExecutor, split_at_assertions
 from repro.lang import Program
 from repro.sim import ReadoutErrorModel
@@ -75,7 +76,7 @@ class TestExecutor:
     def test_classical_breakpoint_samples(self, rng):
         program, *_ = program_with_three_breakpoints()
         breakpoints = split_at_assertions(program)
-        executor = BreakpointExecutor(ensemble_size=12, rng=rng)
+        executor = BreakpointExecutor(RunConfig(ensemble_size=12), rng=rng)
         measurements = executor.run(breakpoints[0])
         assert measurements.joint.num_samples == 12
         assert set(measurements.group_a.samples) == {2}
@@ -84,7 +85,7 @@ class TestExecutor:
     def test_entangled_breakpoint_groups(self, rng):
         program, a, b = program_with_three_breakpoints()
         breakpoints = split_at_assertions(program)
-        executor = BreakpointExecutor(ensemble_size=24, rng=rng)
+        executor = BreakpointExecutor(RunConfig(ensemble_size=24), rng=rng)
         measurements = executor.run(breakpoints[2])
         assert measurements.group_a.num_bits == 1
         assert measurements.group_b.num_bits == 1
@@ -94,7 +95,7 @@ class TestExecutor:
     def test_rerun_mode_matches_statistics(self):
         program, *_ = program_with_three_breakpoints()
         breakpoints = split_at_assertions(program)
-        executor = BreakpointExecutor(ensemble_size=40, rng=3, mode="rerun")
+        executor = BreakpointExecutor(RunConfig(ensemble_size=40, seed=3, mode="rerun"))
         measurements = executor.run(breakpoints[1])
         counts = measurements.group_a.counts()
         assert sum(counts.values()) == 40
@@ -104,7 +105,11 @@ class TestExecutor:
         program, *_ = program_with_three_breakpoints()
         breakpoints = split_at_assertions(program)
         executor = BreakpointExecutor(
-            ensemble_size=16, rng=0, readout_error=ReadoutErrorModel(p01=1.0, p10=1.0)
+            RunConfig(
+                ensemble_size=16,
+                seed=0,
+                readout_error=ReadoutErrorModel(p01=1.0, p10=1.0),
+            ),
         )
         measurements = executor.run(breakpoints[0])
         # Every bit flips, so the prepared value 2 reads as 1 (two-bit register).
@@ -112,6 +117,6 @@ class TestExecutor:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            BreakpointExecutor(ensemble_size=0)
+            BreakpointExecutor(RunConfig(ensemble_size=0))
         with pytest.raises(ValueError):
-            BreakpointExecutor(mode="imaginary")
+            BreakpointExecutor(RunConfig(mode="imaginary"))

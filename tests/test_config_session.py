@@ -1,9 +1,8 @@
 """RunConfig / Session facade and backend-registry tests.
 
-This module is run with ``-W error::DeprecationWarning`` in CI: the new API
-must be deprecation-clean, and every *legacy* kwarg spelling must emit a
-DeprecationWarning (asserted via ``pytest.warns``, which is exempt from the
-strict filter).
+``RunConfig`` is the only way to configure a run: the retired kwarg
+spellings must fail loudly (``TypeError`` / ``ValueError``) rather than be
+silently reinterpreted.
 """
 
 import json
@@ -156,9 +155,6 @@ class TestRunConfigSerialization:
         with pytest.raises(ValueError, match="unknown RunConfig keys"):
             RunConfig.from_dict({"ensemble_sise": 8})
 
-    def test_from_dict_accepts_legacy_rng_key(self):
-        assert RunConfig.from_dict({"rng": 11}).seed == 11
-
 
 # ---------------------------------------------------------------------------
 # Acceptance: one JSON blob pins a seeded run on every backend
@@ -178,13 +174,6 @@ class TestJsonBlobReproducibility:
             r.passed for r in second.records
         ]
         assert first.to_dict() == second.to_dict()
-
-    def test_blob_matches_legacy_kwargs(self):
-        blob = RunConfig(ensemble_size=16, seed=123).to_json()
-        modern = check_program(bell_program(), RunConfig.from_json(blob))
-        with pytest.warns(DeprecationWarning):
-            legacy = check_program(bell_program(), ensemble_size=16, rng=123)
-        assert modern.p_values() == legacy.p_values()
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +261,6 @@ class TestCheckProgramConverge:
         assert report.convergence and report.passed
         assert report.records[0].ensemble_size > 8
 
-    def test_positional_int_still_means_ensemble_size(self):
-        with pytest.warns(DeprecationWarning):
-            report = check_program(bell_program(), 8, rng=1)
-        assert report.ensemble_size == 8
-
     def test_convergence_knob_implies_converge(self):
         # Passing se_cutoff/max_batches without converge=True must not be
         # silently dropped — it states convergence intent.
@@ -299,49 +283,117 @@ class TestCheckProgramConverge:
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims: every legacy kwarg spelling warns but still works
+# Retired spellings: every pre-RunConfig call fails loudly
 # ---------------------------------------------------------------------------
 
 
-LEGACY_CHECKER_KWARGS = [
-    {"ensemble_size": 8},
-    {"significance": 0.01},
-    {"rng": 7},
-    {"rng": None},  # explicit None still counts as the legacy spelling
-    {"mode": "rerun"},
-    {"backend": "statevector"},
-    {"readout_error": ReadoutErrorModel(p01=0.01, p10=0.01)},
-    {"noise": depolarizing(0.001)},
+# The seven-kwarg bundle the checker used to accept (``rng`` is covered by
+# ``test_non_generator_rng_rejected``: a seed there is a TypeError too).
+LEGACY_KWARGS = {
+    "ensemble_size": 8,
+    "significance": 0.01,
+    "mode": "rerun",
+    "backend": "statevector",
+    "readout_error": ReadoutErrorModel(p01=0.01, p10=0.01),
+    "noise": depolarizing(0.001),
+}
+# The executor's parallel bundle never had ``significance``.
+LEGACY_EXECUTOR_KWARGS = [name for name in LEGACY_KWARGS if name != "significance"]
+
+
+def _legacy_kwarg_params(label, call, names):
+    return [
+        pytest.param(
+            lambda name=name: call(**{name: LEGACY_KWARGS[name]}),
+            TypeError,
+            "unexpected keyword",
+            id=f"{label}-{name}",
+        )
+        for name in names
+    ]
+
+
+RETIRED_SPELLINGS = [
+    *_legacy_kwarg_params(
+        "check_program", lambda **kw: check_program(bell_program(), **kw), LEGACY_KWARGS
+    ),
+    *_legacy_kwarg_params(
+        "checker",
+        lambda **kw: StatisticalAssertionChecker(bell_program(), **kw),
+        LEGACY_KWARGS,
+    ),
+    *_legacy_kwarg_params(
+        "executor", lambda **kw: BreakpointExecutor(**kw), LEGACY_EXECUTOR_KWARGS
+    ),
+    pytest.param(
+        lambda: StatisticalAssertionChecker(bell_program(), 32),
+        TypeError,
+        None,
+        id="checker-positional-int",
+    ),
+    pytest.param(
+        lambda: BreakpointExecutor(8), TypeError, None, id="executor-positional-int"
+    ),
+    pytest.param(
+        # The old second slot was ensemble_size; trials is keyword-only now,
+        # so this cannot silently run 8 trials.
+        lambda: detection_rate(bell_program(with_bug=True), 8),
+        TypeError,
+        None,
+        id="detection_rate-positional",
+    ),
+    pytest.param(
+        lambda: detection_rate(bell_program(with_bug=True), ensemble_size=16, trials=2),
+        TypeError,
+        "unexpected keyword",
+        id="detection_rate-ensemble_size",
+    ),
+    pytest.param(
+        lambda: ensemble_size_sweep(
+            bell_program(), bell_program(with_bug=True), sizes=(8,), trials=1, rng=2
+        ),
+        TypeError,
+        "unexpected keyword",
+        id="ensemble_size_sweep-rng",
+    ),
+    pytest.param(
+        lambda: RunConfig.from_dict({"rng": 1}),
+        ValueError,
+        None,
+        id="from_dict-rng-key",
+    ),
 ]
 
 
-class TestDeprecationShims:
-    @pytest.mark.parametrize("kwargs", LEGACY_CHECKER_KWARGS)
-    def test_checker_legacy_kwargs_warn(self, kwargs):
-        with pytest.warns(DeprecationWarning, match="StatisticalAssertionChecker"):
-            checker = StatisticalAssertionChecker(bell_program(), **kwargs)
-        assert checker.run().num_breakpoints == 2
+class TestRetiredSpellings:
+    @pytest.mark.parametrize("call, error, match", RETIRED_SPELLINGS)
+    def test_retired_spelling_fails_loudly(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
 
-    @pytest.mark.parametrize("kwargs", LEGACY_CHECKER_KWARGS)
-    def test_check_program_legacy_kwargs_warn(self, kwargs):
-        with pytest.warns(DeprecationWarning, match="check_program"):
-            report = check_program(bell_program(), **kwargs)
-        assert report.num_breakpoints == 2
-
-    def test_sweep_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="detection_rate"):
-            rate = detection_rate(
-                bell_program(with_bug=True), ensemble_size=16, trials=2, rng=1
-            )
-        assert 0.0 <= rate <= 1.0
-        with pytest.warns(DeprecationWarning, match="ensemble_size_sweep"):
-            ensemble_size_sweep(
-                bell_program(),
-                bell_program(with_bug=True),
-                sizes=(8,),
-                trials=1,
-                rng=2,
-            )
+    @pytest.mark.parametrize(
+        "rng",
+        [7, np.int64(7), np.random.SeedSequence(7)],
+        ids=["int", "np.int64", "SeedSequence"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rng: StatisticalAssertionChecker(
+                bell_program(), RunConfig(ensemble_size=16), rng=rng
+            ),
+            lambda rng: BreakpointExecutor(RunConfig(ensemble_size=16), rng=rng),
+            lambda rng: check_program(
+                bell_program(), RunConfig(ensemble_size=16), rng=rng
+            ),
+        ],
+        ids=["checker", "executor", "check_program"],
+    )
+    def test_non_generator_rng_rejected(self, build, rng):
+        # A seed passed as rng= used to be dropped in favour of OS entropy;
+        # seeds belong in RunConfig(seed=...).
+        with pytest.raises(TypeError, match=r"RunConfig\(seed="):
+            build(rng)
 
     def test_config_path_is_warning_free(self):
         with warnings.catch_warnings():
@@ -354,28 +406,15 @@ class TestDeprecationShims:
             )
             session(RunConfig(seed=1)).check(bell_program())
 
-    def test_legacy_generator_rng_still_shares_stream(self):
+    def test_generator_rng_shares_stream(self):
         generator = np.random.default_rng(SEED)
-        with pytest.warns(DeprecationWarning):
-            checker = StatisticalAssertionChecker(bell_program(), rng=generator)
+        checker = StatisticalAssertionChecker(bell_program(), rng=generator)
         assert checker.rng is generator
+        assert checker.executor.rng is generator
 
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             check_program(bell_program(), ensemble_sise=8)
-
-    def test_legacy_rng_seed_wins_over_session_stream(self):
-        # An explicit legacy rng seed must reseed the run, not be silently
-        # overwritten by the session's shared stream.
-        run = session(RunConfig(ensemble_size=16, seed=0))
-
-        def rate():
-            with pytest.warns(DeprecationWarning):
-                return detection_rate(
-                    bell_program(with_bug=True), trials=3, rng=3, session=run
-                )
-
-        assert rate() == rate()  # fresh seeded stream per call, not shared
 
 
 # ---------------------------------------------------------------------------
@@ -386,22 +425,18 @@ class TestDeprecationShims:
 class TestExecutorConfig:
     def test_from_config(self):
         config = RunConfig(ensemble_size=12, seed=9, mode="rerun", backend="density")
-        executor = BreakpointExecutor.from_config(config)
+        executor = BreakpointExecutor(config)
         assert executor.ensemble_size == 12
         assert executor.mode == "rerun"
         assert executor.backend == "density"
         assert executor.config is config
-
-    def test_kwargs_override_config(self):
-        executor = BreakpointExecutor(RunConfig(ensemble_size=4), ensemble_size=32)
-        assert executor.ensemble_size == 32
 
     def test_noise_model_readout_adopted_through_config(self):
         model = NoiseModel(
             gate_channels=(depolarizing(0.01),),
             readout=ReadoutErrorModel(p01=0.2, p10=0.2),
         )
-        executor = BreakpointExecutor.from_config(RunConfig(noise=model))
+        executor = BreakpointExecutor(RunConfig(noise=model))
         assert executor.readout_error.p01 == 0.2
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     AssertionViolation,
+    RunConfig,
     StatisticalAssertionChecker,
     check_program,
     build_evaluator,
@@ -50,26 +51,36 @@ class TestBuildEvaluator:
 
 class TestChecker:
     def test_bell_program_passes(self, rng):
-        report = check_program(bell_program(), ensemble_size=16, rng=rng)
+        report = check_program(bell_program(), RunConfig(ensemble_size=16), rng=rng)
         assert report.passed
         assert report.num_breakpoints == 1
         assert report.records[0].outcome.assertion_type == "entangled"
 
     def test_missing_cnot_caught(self, rng):
-        report = check_program(bell_program(with_bug=True), ensemble_size=32, rng=rng)
+        report = check_program(
+            bell_program(with_bug=True),
+            RunConfig(ensemble_size=32),
+            rng=rng,
+        )
         assert not report.passed
         assert report.first_failure().outcome.assertion_type == "entangled"
 
     def test_check_raises_on_violation(self, rng):
         checker = StatisticalAssertionChecker(
-            bell_program(with_bug=True), ensemble_size=32, rng=rng
+            bell_program(with_bug=True),
+            RunConfig(ensemble_size=32),
+            rng=rng,
         )
         with pytest.raises(AssertionViolation) as excinfo:
             checker.check()
         assert excinfo.value.outcome.assertion_type == "entangled"
 
     def test_check_returns_report_when_clean(self, rng):
-        checker = StatisticalAssertionChecker(bell_program(), ensemble_size=16, rng=rng)
+        checker = StatisticalAssertionChecker(
+            bell_program(),
+            RunConfig(ensemble_size=16),
+            rng=rng,
+        )
         report = checker.check()
         assert report.passed
 
@@ -79,7 +90,10 @@ class TestChecker:
         program.prepare_int(q, 2)
         program.assert_classical(q, 2)
         for mode in ("sample", "rerun"):
-            checker = StatisticalAssertionChecker(program, ensemble_size=8, rng=0, mode=mode)
+            checker = StatisticalAssertionChecker(
+                program,
+                RunConfig(ensemble_size=8, seed=0, mode=mode),
+            )
             assert checker.run().passed
 
     def test_multiple_breakpoints_ordered(self, rng):
@@ -90,32 +104,36 @@ class TestChecker:
         program.h(q[0])
         program.h(q[1])
         program.assert_superposition(q, label="second")
-        report = check_program(program, ensemble_size=64, rng=rng)
+        report = check_program(program, RunConfig(ensemble_size=64), rng=rng)
         assert [r.name for r in report.records] == ["first", "second"]
         assert [r.gates_before for r in report.records] == [0, 2]
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            StatisticalAssertionChecker(bell_program(), ensemble_size=0)
+            StatisticalAssertionChecker(bell_program(), RunConfig(ensemble_size=0))
         with pytest.raises(ValueError):
-            StatisticalAssertionChecker(bell_program(), mode="teleport")
+            StatisticalAssertionChecker(bell_program(), RunConfig(mode="teleport"))
 
     def test_seeded_runs_are_reproducible(self):
-        first = check_program(bell_program(), ensemble_size=16, rng=42)
-        second = check_program(bell_program(), ensemble_size=16, rng=42)
+        first = check_program(bell_program(), RunConfig(ensemble_size=16, seed=42))
+        second = check_program(bell_program(), RunConfig(ensemble_size=16, seed=42))
         assert first.p_values() == second.p_values()
 
 
 class TestReport:
     def test_summary_contains_table_and_verdict(self, rng):
-        report = check_program(bell_program(), ensemble_size=16, rng=rng)
+        report = check_program(bell_program(), RunConfig(ensemble_size=16), rng=rng)
         text = report.summary()
         assert "breakpoint" in text
         assert "ALL ASSERTIONS HELD" in text
         assert str(report) == text
 
     def test_failure_listing(self, rng):
-        report = check_program(bell_program(with_bug=True), ensemble_size=32, rng=rng)
+        report = check_program(
+            bell_program(with_bug=True),
+            RunConfig(ensemble_size=32),
+            rng=rng,
+        )
         assert len(report.failures()) == 1
         assert "VIOLATED" in report.summary()
         rows = report.rows()

@@ -21,7 +21,7 @@ from repro.algorithms.grover import build_grover_program
 from repro.algorithms.oracles import build_bernstein_vazirani_program
 from repro.algorithms.qft import build_qft_program, build_qft_test_harness
 from repro.compiler import lower_to_basis, split_at_assertions
-from repro.core import check_program
+from repro.core import RunConfig, check_program
 from repro.lang import draw, from_qasm, to_qasm
 from repro.lang.instructions import GateInstruction
 
@@ -61,7 +61,7 @@ class TestQasmRoundTrips:
 class TestLoweringPreservesBehaviour:
     def test_lowered_adder_assertions_still_pass(self):
         lowered = lower_to_basis(build_cadd_test_harness())
-        report = check_program(lowered, ensemble_size=8, rng=1)
+        report = check_program(lowered, RunConfig(ensemble_size=8, seed=1))
         assert report.passed
 
     def test_lowered_bv_still_recovers_hidden_string(self):

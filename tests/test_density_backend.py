@@ -15,7 +15,7 @@ import pytest
 
 from repro.bugs import BUG_SCENARIOS
 from repro.compiler import BreakpointExecutor, build_execution_plan
-from repro.core import check_program
+from repro.core import RunConfig, check_program
 from repro.lang import Program
 from repro.sim import (
     DensityMatrix,
@@ -459,8 +459,13 @@ class TestNativeReadoutPath:
         results = {}
         for backend in ("statevector", "density"):
             executor = BreakpointExecutor(
-                ensemble_size=8, rng=SEED, mode="rerun",
-                readout_error=model, backend=backend,
+                RunConfig(
+                    ensemble_size=8,
+                    seed=SEED,
+                    mode="rerun",
+                    readout_error=model,
+                    backend=backend,
+                ),
             )
             (measurements,) = executor.run_plan(build_execution_plan(program))
             results[backend] = measurements.joint.samples
@@ -472,10 +477,12 @@ class TestNativeReadoutPath:
         program.prep_z(q[0], 0)
         program.assert_classical([q[0]], 0, label="zero")
         executor = BreakpointExecutor(
-            ensemble_size=16,
-            rng=SEED,
-            readout_error=ReadoutErrorModel(p01=1.0, p10=0.0),
-            backend="density",
+            RunConfig(
+                ensemble_size=16,
+                seed=SEED,
+                readout_error=ReadoutErrorModel(p01=1.0, p10=0.0),
+                backend="density",
+            ),
         )
         (measurements,) = executor.run_plan(build_execution_plan(program))
         # A deterministic full flip: every member reads 1, exactly once —
@@ -490,14 +497,18 @@ class TestNativeReadoutPath:
         plan = build_execution_plan(program)
         shared = DensityMatrixBackend()
         noisy = BreakpointExecutor(
-            ensemble_size=8,
-            rng=SEED,
-            readout_error=ReadoutErrorModel(p01=0.4, p10=0.4),
-            backend=shared,
+            RunConfig(
+                ensemble_size=8,
+                seed=SEED,
+                readout_error=ReadoutErrorModel(p01=0.4, p10=0.4),
+                backend=shared,
+            ),
         )
         noisy.run_plan(plan)
         assert shared.readout_error.is_ideal  # installation was undone
-        ideal = BreakpointExecutor(ensemble_size=4000, rng=SEED, backend=shared)
+        ideal = BreakpointExecutor(
+            RunConfig(ensemble_size=4000, seed=SEED, backend=shared),
+        )
         (measurements,) = ideal.run_plan(plan)
         distribution = measurements.joint.empirical_distribution()
         assert distribution[1] + distribution[2] == pytest.approx(0.0)
@@ -510,10 +521,12 @@ class TestNativeReadoutPath:
         users_model = ReadoutErrorModel(p01=0.25, p10=0.0)
         shared = DensityMatrixBackend(readout_error=users_model)
         executor = BreakpointExecutor(
-            ensemble_size=8,
-            rng=SEED,
-            readout_error=ReadoutErrorModel(p01=0.4, p10=0.4),
-            backend=shared,
+            RunConfig(
+                ensemble_size=8,
+                seed=SEED,
+                readout_error=ReadoutErrorModel(p01=0.4, p10=0.4),
+                backend=shared,
+            ),
         )
         executor.run_plan(plan)
         assert shared.readout_error == users_model
@@ -525,12 +538,22 @@ class TestNativeReadoutPath:
         shots = 4000
 
         native = BreakpointExecutor(
-            ensemble_size=shots, rng=SEED, readout_error=model, backend="density"
+            RunConfig(
+                ensemble_size=shots,
+                seed=SEED,
+                readout_error=model,
+                backend="density",
+            ),
         )
         (native_measurements,) = native.run_plan(build_execution_plan(program))
 
         corrupting = BreakpointExecutor(
-            ensemble_size=shots, rng=SEED, readout_error=model, backend="statevector"
+            RunConfig(
+                ensemble_size=shots,
+                seed=SEED,
+                readout_error=model,
+                backend="statevector",
+            ),
         )
         (corrupt_measurements,) = corrupting.run_plan(build_execution_plan(program))
 
@@ -555,10 +578,12 @@ class TestCheckerIntegration:
         program = build()
         ensemble_size = scenario.ensemble_size or 16
         statevector_report = check_program(
-            program, ensemble_size=ensemble_size, rng=SEED, backend="statevector"
+            program,
+            RunConfig(ensemble_size=ensemble_size, seed=SEED, backend="statevector"),
         )
         density_report = check_program(
-            program, ensemble_size=ensemble_size, rng=SEED, backend="density"
+            program,
+            RunConfig(ensemble_size=ensemble_size, seed=SEED, backend="density"),
         )
         assert [r.outcome.passed for r in statevector_report.records] == [
             r.outcome.passed for r in density_report.records
@@ -574,7 +599,9 @@ class TestCheckerIntegration:
                 program.cnot(q[0], q[1])
             program.assert_superposition([q[0]], label="block")
         plan = build_execution_plan(program)
-        executor = BreakpointExecutor(ensemble_size=8, rng=SEED, backend="density")
+        executor = BreakpointExecutor(
+            RunConfig(ensemble_size=8, seed=SEED, backend="density"),
+        )
         executor.run_plan(plan)
         assert executor.gates_applied == plan.total_gates == 40
 
@@ -584,10 +611,12 @@ class TestCheckerIntegration:
         for rate in (0.0, 0.01, 0.05):
             report = check_program(
                 program,
-                ensemble_size=32,
-                rng=SEED,
-                backend="density",
-                readout_error=ReadoutErrorModel(p01=rate, p10=rate),
+                RunConfig(
+                    ensemble_size=32,
+                    seed=SEED,
+                    backend="density",
+                    readout_error=ReadoutErrorModel(p01=rate, p10=rate),
+                ),
             )
             assert len(report.records) == 1
 
@@ -597,9 +626,11 @@ class TestCheckerIntegration:
         model = NoiseModel.from_channels(depolarizing(0.4))
         report = check_program(
             program,
-            ensemble_size=64,
-            rng=SEED,
-            backend=lambda: DensityMatrixBackend(noise=model),
+            RunConfig(
+                ensemble_size=64,
+                seed=SEED,
+                backend=lambda: DensityMatrixBackend(noise=model),
+            ),
         )
         # Heavy depolarisation destroys the Bell correlation: the
         # entanglement assertion must fail against the noisy ensemble.

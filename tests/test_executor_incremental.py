@@ -11,7 +11,7 @@ import pytest
 
 from repro.bugs import BUG_SCENARIOS
 from repro.compiler import BreakpointExecutor, build_execution_plan, split_at_assertions
-from repro.core import DEFAULT_SIGNIFICANCE, build_evaluator
+from repro.core import DEFAULT_SIGNIFICANCE, RunConfig, build_evaluator
 from repro.lang import Program
 from repro.sim import StatevectorBackend
 from repro.lang.program import run_instructions
@@ -21,14 +21,14 @@ SEED = 20190622
 
 def _legacy_measurements(program, ensemble_size, seed):
     """The paper's literal scheme: every breakpoint prefix re-simulated."""
-    executor = BreakpointExecutor(ensemble_size=ensemble_size, rng=seed)
+    executor = BreakpointExecutor(RunConfig(ensemble_size=ensemble_size, seed=seed))
     measurements = [executor.run(bp) for bp in split_at_assertions(program)]
     return measurements, executor.gates_applied
 
 
 def _incremental_measurements(program, ensemble_size, seed):
     """One checkpointed walk of the shared-prefix execution plan."""
-    executor = BreakpointExecutor(ensemble_size=ensemble_size, rng=seed)
+    executor = BreakpointExecutor(RunConfig(ensemble_size=ensemble_size, seed=seed))
     measurements = executor.run_plan(build_execution_plan(program))
     return measurements, executor.gates_applied
 
@@ -76,7 +76,7 @@ class TestSeededEquivalence:
 
         scenario = BUG_SCENARIOS["flipped_rotation_angles"]
         program = scenario.build_buggy()
-        report = check_program(program, ensemble_size=16, rng=SEED)
+        report = check_program(program, RunConfig(ensemble_size=16, seed=SEED))
         incremental, _ = _incremental_measurements(program, 16, SEED)
         assert [record.outcome.passed for record in report.records] == _verdicts(
             incremental
@@ -124,7 +124,9 @@ class TestWorkBound:
         """'rerun' keeps faithful per-member re-simulation of every prefix."""
         program = self._chain_program(num_blocks=2, gates_per_block=3)
         plan = build_execution_plan(program)
-        executor = BreakpointExecutor(ensemble_size=4, rng=SEED, mode="rerun")
+        executor = BreakpointExecutor(
+            RunConfig(ensemble_size=4, seed=SEED, mode="rerun"),
+        )
         executor.run_plan(plan)
         assert executor.gates_applied == 4 * plan.legacy_gates
 
@@ -141,7 +143,7 @@ class TestSnapshotIsolation:
         program.assert_entangled([q[0]], [q[1]], label="bp1")
 
         plan = build_execution_plan(program)
-        executor = BreakpointExecutor(ensemble_size=512, rng=SEED)
+        executor = BreakpointExecutor(RunConfig(ensemble_size=512, seed=SEED))
         measurements = executor.run_plan(plan)
 
         # Breakpoint 1 sees the exact Bell statistics even though breakpoint 0
@@ -207,7 +209,7 @@ class TestPlanStructure:
         program.h(a[0])
         program.cnot(a[0], b[0])
         program.assert_entangled(a, b, label="pair")
-        executor = BreakpointExecutor(ensemble_size=8, rng=SEED)
+        executor = BreakpointExecutor(RunConfig(ensemble_size=8, seed=SEED))
         (measurements,) = executor.run_plan(build_execution_plan(program))
         assert measurements.joint.label == "pair"
         assert measurements.group_a.label == "group_a"

@@ -12,6 +12,7 @@ sampled trajectory path and the exact density path.
 import numpy as np
 import pytest
 
+from repro import RunConfig
 from repro.compiler import BreakpointExecutor, build_execution_plan
 from repro.core.statistics import category_standard_errors
 from repro.lang import Program
@@ -144,7 +145,7 @@ def _probe_program(gates: int = 30) -> Program:
 def _estimate(noise, ensemble_size: int, seed: int, backend: str) -> float:
     plan = build_execution_plan(_probe_program())
     executor = BreakpointExecutor(
-        ensemble_size=ensemble_size, rng=seed, backend=backend, noise=noise
+        RunConfig(ensemble_size=ensemble_size, seed=seed, backend=backend, noise=noise),
     )
     ensemble = executor.run_plan(plan)[0].joint
     weights = ensemble.weights or [1.0] * len(ensemble.samples)
@@ -157,7 +158,7 @@ class TestEndToEnd:
         noise = NoiseModel.from_channels([depolarizing(1e-4)], importance_boost=0.1)
         plan = build_execution_plan(_probe_program())
         executor = BreakpointExecutor(
-            ensemble_size=16, rng=SEED, backend=backend, noise=noise
+            RunConfig(ensemble_size=16, seed=SEED, backend=backend, noise=noise),
         )
         ensemble = executor.run_plan(plan)[0].joint
         assert ensemble.weights is not None
@@ -168,7 +169,7 @@ class TestEndToEnd:
         noise = NoiseModel.from_channels([depolarizing(1e-4)])
         plan = build_execution_plan(_probe_program())
         executor = BreakpointExecutor(
-            ensemble_size=16, rng=SEED, backend="stabilizer", noise=noise
+            RunConfig(ensemble_size=16, seed=SEED, backend="stabilizer", noise=noise),
         )
         assert executor.run_plan(plan)[0].joint.weights is None
 
@@ -231,13 +232,13 @@ class TestTwoQubitChannels:
         plan = build_execution_plan(_bell_program())
 
         exact = BreakpointExecutor(
-            ensemble_size=4096, rng=SEED, backend="density", noise=noise
+            RunConfig(ensemble_size=4096, seed=SEED, backend="density", noise=noise),
         )
         exact_dist = exact.run_plan(plan)[0].joint.empirical_distribution()
         # The density engine samples from the *exact* noisy distribution, so
         # its large-ensemble empirical distribution is the reference.
         sampled = BreakpointExecutor(
-            ensemble_size=4096, rng=SEED, backend=backend, noise=noise
+            RunConfig(ensemble_size=4096, seed=SEED, backend=backend, noise=noise),
         )
         sampled_dist = sampled.run_plan(plan)[0].joint.empirical_distribution()
         np.testing.assert_allclose(sampled_dist, exact_dist, atol=0.03)
@@ -247,10 +248,10 @@ class TestTwoQubitChannels:
         noise = NoiseModel.from_channels([depolarizing(0.05)])
         plan = build_execution_plan(_bell_program())
         first = BreakpointExecutor(
-            ensemble_size=64, rng=SEED, backend="stabilizer", noise=noise
+            RunConfig(ensemble_size=64, seed=SEED, backend="stabilizer", noise=noise),
         ).run_plan(plan)
         second = BreakpointExecutor(
-            ensemble_size=64, rng=SEED, backend="stabilizer", noise=noise
+            RunConfig(ensemble_size=64, seed=SEED, backend="stabilizer", noise=noise),
         ).run_plan(plan)
         for a, b in zip(first, second):
             assert list(a.joint.samples) == list(b.joint.samples)

@@ -17,7 +17,7 @@ from repro.chemistry import (
     assignment_expectation_energy,
     two_electron_eigenvalues,
 )
-from repro.core import check_program
+from repro.core import RunConfig, check_program
 
 
 class TestFigure1BellState:
@@ -30,7 +30,10 @@ class TestFigure1BellState:
 
     def test_entanglement_assertion_pvalue_at_16_samples(self):
         """Perfectly correlated 16-sample ensemble -> p ~= 0.0005."""
-        report = check_program(build_bell_program(), ensemble_size=16, rng=1)
+        report = check_program(
+            build_bell_program(),
+            RunConfig(ensemble_size=16, seed=1),
+        )
         assert report.passed
         assert report.records[0].p_value == pytest.approx(0.000465, abs=5e-5)
 
@@ -40,14 +43,19 @@ class TestSection43AdderClaim:
         from repro.algorithms.arithmetic import build_cadd_test_harness
 
         report = check_program(
-            build_cadd_test_harness(angle_sign=-1.0), ensemble_size=16, rng=rng
+            build_cadd_test_harness(angle_sign=-1.0),
+            RunConfig(ensemble_size=16),
+            rng=rng,
         )
         assert report.records[1].p_value == 0.0
 
 
 class TestSection44And45MultiplierClaims:
     def test_correct_harness_pvalues(self):
-        report = check_program(build_cmodmul_test_harness(), ensemble_size=16, rng=0)
+        report = check_program(
+            build_cmodmul_test_harness(),
+            RunConfig(ensemble_size=16, seed=0),
+        )
         by_label = {r.outcome.assertion_type: r.p_value for r in report.records}
         # "the first assertion returns p-value = 0.0005 for an ensemble size of 16"
         assert by_label["entangled"] == pytest.approx(5e-4, abs=5e-4)
@@ -56,7 +64,8 @@ class TestSection44And45MultiplierClaims:
 
     def test_wrong_inverse_product_pvalue_small(self):
         report = check_program(
-            build_cmodmul_test_harness(inverse_multiplier=12), ensemble_size=16, rng=0
+            build_cmodmul_test_harness(inverse_multiplier=12),
+            RunConfig(ensemble_size=16, seed=0),
         )
         product = next(r for r in report.records if r.outcome.assertion_type == "product")
         # "the assertion returns p-value = 0.0005 ... indicating the two
@@ -66,7 +75,8 @@ class TestSection44And45MultiplierClaims:
 
     def test_misrouted_control_not_significant(self):
         report = check_program(
-            build_cmodmul_test_harness(control_bug_duplicate=True), ensemble_size=16, rng=0
+            build_cmodmul_test_harness(control_bug_duplicate=True),
+            RunConfig(ensemble_size=16, seed=0),
         )
         entangled = next(
             r for r in report.records if r.outcome.assertion_type == "entangled"
@@ -134,7 +144,7 @@ class TestFullShorDebuggingWorkflow:
         """The workflow of Section 4: preconditions pass, the garbage-collection
         postconditions fail, pointing at the deallocation/classical inputs."""
         circuit = build_shor_program(inverse_overrides={0: 12})
-        report = check_program(circuit.program, ensemble_size=32, rng=6)
+        report = check_program(circuit.program, RunConfig(ensemble_size=32, seed=6))
         records = {r.name: r for r in report.records}
         assert records["precondition: lower register = 1"].passed
         assert records["precondition: upper register uniform"].passed

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import check_program
+from repro.core import RunConfig, check_program
 from repro.lang import (
     Program,
     auto_place_assertions,
@@ -151,7 +151,7 @@ class TestAutoPlacement:
     def test_auto_placed_assertions_pass_on_correct_program(self, rng):
         program, *_ = self._controlled_adder_like_program()
         auto_place_assertions(program)
-        report = check_program(program, ensemble_size=32, rng=rng)
+        report = check_program(program, RunConfig(ensemble_size=32), rng=rng)
         assert report.passed, report.summary()
 
     def test_scanner_on_program_without_blocks(self):

@@ -70,7 +70,9 @@ class TestExecutorRouting:
 
     def test_dense_request_beyond_budget_is_refused(self, monkeypatch):
         monkeypatch.setenv(ENV_MAX_DENSE_QUBITS, "20")
-        executor = BreakpointExecutor(ensemble_size=4, rng=1, backend="statevector")
+        executor = BreakpointExecutor(
+            RunConfig(ensemble_size=4, seed=1, backend="statevector"),
+        )
         with pytest.raises(ValueError) as excinfo:
             executor.run_plan(self._plan(40))
         message = str(excinfo.value)
@@ -88,7 +90,9 @@ class TestExecutorRouting:
 
     def test_auto_routes_clifford_plan_to_tableau(self, monkeypatch):
         monkeypatch.setenv(ENV_MAX_DENSE_QUBITS, "20")
-        executor = BreakpointExecutor(ensemble_size=8, rng=1, backend="auto")
+        executor = BreakpointExecutor(
+            RunConfig(ensemble_size=8, seed=1, backend="auto"),
+        )
         plan = self._plan(40)
         measurements = executor.run_plan(plan)
         assert len(measurements) == plan.num_breakpoints
@@ -100,7 +104,9 @@ class TestExecutorRouting:
 
     def test_within_budget_dense_request_runs(self, monkeypatch):
         monkeypatch.setenv(ENV_MAX_DENSE_QUBITS, "20")
-        executor = BreakpointExecutor(ensemble_size=4, rng=1, backend="statevector")
+        executor = BreakpointExecutor(
+            RunConfig(ensemble_size=4, seed=1, backend="statevector"),
+        )
         plan = self._plan(8)
         assert len(executor.run_plan(plan)) == plan.num_breakpoints
         assert plan.routing_note is None

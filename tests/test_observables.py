@@ -16,13 +16,12 @@ The contracts under test:
   RunConfig JSON round-trip of the two new knobs;
 * the static analyzer — PROVEN/REFUTED on Clifford preparations and
   UNDECIDED once a non-Clifford rotation taints the support;
-* the ``repro.chemistry.pauli`` deprecation shim.
+* the promoted ``repro.observables.pauli`` location imports warning-free.
 """
 
 from __future__ import annotations
 
 import importlib
-import sys
 import warnings
 
 import numpy as np
@@ -487,18 +486,11 @@ class TestStaticObservable:
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shim
+# Import hygiene
 # ---------------------------------------------------------------------------
 
 
 class TestChemistryPauliShim:
-    def test_import_warns_and_reexports(self):
-        sys.modules.pop("repro.chemistry.pauli", None)
-        with pytest.warns(DeprecationWarning, match="repro.observables"):
-            shim = importlib.import_module("repro.chemistry.pauli")
-        assert shim.PauliString is PauliString
-        assert shim.PauliSum is PauliSum
-
     def test_new_location_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

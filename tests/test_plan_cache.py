@@ -191,7 +191,7 @@ class TestPlanCache:
         # low-level gate-count experiments stay exact.
         plan = build_execution_plan(bell_program())
         assert plan.fingerprint is None
-        executor = BreakpointExecutor(ensemble_size=8, rng=SEED)
+        executor = BreakpointExecutor(RunConfig(ensemble_size=8, seed=SEED))
         executor.run_plan(plan)
         executor.run_plan(plan)
         assert executor.shared_prefix_gates_saved == 0
@@ -212,9 +212,7 @@ class TestSnapshotReuse:
     def test_snapshot_run_skips_the_walk(self):
         config = RunConfig(ensemble_size=8, seed=SEED)
         check_program(bell_program(), config)
-        checker = repro.StatisticalAssertionChecker.from_config(
-            bell_program(), config
-        )
+        checker = repro.StatisticalAssertionChecker(bell_program(), config)
         checker.run()
         assert checker.executor.gates_applied == 0
         assert checker.executor.shared_prefix_gates_saved == 2

@@ -43,7 +43,6 @@ class TestKeyExports:
 
     def test_sim_registry_api(self):
         for name in (
-            "BACKENDS",
             "BackendCapabilities",
             "register_backend",
             "unregister_backend",
@@ -57,13 +56,6 @@ class TestKeyExports:
     def test_core_exports_config_and_session(self):
         for name in ("RunConfig", "Session", "session"):
             assert name in repro.core.__all__
-
-    def test_legacy_compat_spellings_still_importable(self):
-        # One release of grace: the historical import paths keep working.
-        from repro.sim.backend import BACKENDS, make_backend, register_backend
-
-        assert callable(make_backend) and callable(register_backend)
-        assert "statevector" in BACKENDS
 
     def test_public_functions_documented(self):
         # Every public callable/class on the facade carries a docstring.

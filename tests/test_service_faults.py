@@ -88,11 +88,6 @@ class TestFaultSpec:
 
 
 class TestRetryPolicy:
-    def test_from_config(self):
-        policy = RetryPolicy.from_config(CFG.replace(max_retries=5, backoff_base=0.2))
-        assert policy.max_retries == 5
-        assert policy.backoff_base == pytest.approx(0.2)
-
     def test_retries_left_counts_retries_not_attempts(self):
         policy = RetryPolicy(max_retries=2)
         assert policy.retries_left(1) and policy.retries_left(2)

@@ -5,13 +5,14 @@ import pytest
 
 from repro.lang import Program
 from repro.sim import (
-    BACKENDS,
     SimulationBackend,
     Statevector,
     StatevectorBackend,
     gates,
+    list_backends,
     make_backend,
     register_backend,
+    unregister_backend,
 )
 from repro.sim.kernels import apply_controlled_inplace, apply_matrix_inplace
 
@@ -45,9 +46,11 @@ class TestRegistry:
 
         register_backend("custom_test", Custom)
         try:
+            assert "custom_test" in list_backends()
             assert isinstance(make_backend("custom_test"), Custom)
         finally:
-            del BACKENDS["custom_test"]
+            unregister_backend("custom_test")
+        assert "custom_test" not in list_backends()
 
 
 class TestStatevectorBackend:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import BreakpointExecutor, build_execution_plan
-from repro.core import check_program
+from repro.core import RunConfig, check_program
 from repro.lang import (
     Program,
     clifford_prefix_length,
@@ -377,9 +377,11 @@ class TestCheckerIntegration:
             for backend in ("statevector", "density", "stabilizer", "auto"):
                 report = check_program(
                     program,
-                    ensemble_size=scenario.ensemble_size,
-                    rng=SEED,
-                    backend=backend,
+                    RunConfig(
+                        ensemble_size=scenario.ensemble_size,
+                        seed=SEED,
+                        backend=backend,
+                    ),
                 )
                 verdicts[backend] = [r.outcome.passed for r in report.records]
             assert (
@@ -396,16 +398,20 @@ class TestCheckerIntegration:
         assert scenario.deep_qubits >= 24
         correct = check_program(
             scenario.build_correct(scenario.deep_qubits),
-            ensemble_size=scenario.ensemble_size,
-            rng=SEED,
-            backend="stabilizer",
+            RunConfig(
+                ensemble_size=scenario.ensemble_size,
+                seed=SEED,
+                backend="stabilizer",
+            ),
         )
         assert correct.passed
         buggy = check_program(
             scenario.build_buggy(scenario.deep_qubits),
-            ensemble_size=scenario.ensemble_size,
-            rng=SEED,
-            backend="stabilizer",
+            RunConfig(
+                ensemble_size=scenario.ensemble_size,
+                seed=SEED,
+                backend="stabilizer",
+            ),
         )
         assert not buggy.passed
         caught = {
@@ -417,7 +423,9 @@ class TestCheckerIntegration:
         # An all-Clifford plan must never build a statevector under "auto".
         program = build_ghz_chain_program(32)
         plan = build_execution_plan(program)
-        executor = BreakpointExecutor(ensemble_size=32, rng=SEED, backend="auto")
+        executor = BreakpointExecutor(
+            RunConfig(ensemble_size=32, seed=SEED, backend="auto"),
+        )
         measurements = executor.run_plan(plan)
         assert executor.statevector_gates_applied == 0
         assert len(measurements) == plan.num_breakpoints
@@ -432,10 +440,12 @@ class TestCheckerIntegration:
         assert not plan.is_clifford
         assert plan.clifford_prefix_gates > 0
 
-        hybrid = BreakpointExecutor(ensemble_size=32, rng=SEED, backend="auto")
+        hybrid = BreakpointExecutor(
+            RunConfig(ensemble_size=32, seed=SEED, backend="auto"),
+        )
         hybrid_measurements = hybrid.run_plan(plan)
         dense = BreakpointExecutor(
-            ensemble_size=32, rng=SEED, backend="statevector"
+            RunConfig(ensemble_size=32, seed=SEED, backend="statevector"),
         )
         dense_measurements = dense.run_plan(plan)
 
@@ -452,10 +462,12 @@ class TestCheckerIntegration:
         for build in (scenario.build_correct, scenario.build_buggy):
             program = build()
             auto_report = check_program(
-                program, ensemble_size=32, rng=SEED, backend="auto"
+                program,
+                RunConfig(ensemble_size=32, seed=SEED, backend="auto"),
             )
             dense_report = check_program(
-                program, ensemble_size=32, rng=SEED, backend="statevector"
+                program,
+                RunConfig(ensemble_size=32, seed=SEED, backend="statevector"),
             )
             assert [r.outcome.passed for r in auto_report.records] == [
                 r.outcome.passed for r in dense_report.records
@@ -464,7 +476,8 @@ class TestCheckerIntegration:
     def test_rerun_mode_on_stabilizer(self):
         program = build_ghz_chain_program(5)
         report = check_program(
-            program, ensemble_size=16, rng=SEED, backend="stabilizer", mode="rerun"
+            program,
+            RunConfig(ensemble_size=16, seed=SEED, backend="stabilizer", mode="rerun"),
         )
         assert report.passed
 

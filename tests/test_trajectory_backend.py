@@ -15,6 +15,7 @@ import pytest
 from repro.bugs import BUG_SCENARIOS
 from repro.compiler import BreakpointExecutor, build_execution_plan
 from repro.core import (
+    RunConfig,
     StatisticalAssertionChecker,
     category_standard_errors,
     check_program,
@@ -604,7 +605,7 @@ class TestExecutorRouting:
     )
     def test_noise_routing(self, backend, noise, expected):
         executor = BreakpointExecutor(
-            ensemble_size=8, rng=0, backend=backend, noise=noise
+            RunConfig(ensemble_size=8, seed=0, backend=backend, noise=noise),
         )
         plan = build_execution_plan(_bell_program())
         engine = executor._new_backend(2, clifford=plan.is_clifford)
@@ -612,28 +613,36 @@ class TestExecutorRouting:
 
     def test_mixed_auto_plan_routes_to_hybrid(self):
         executor = BreakpointExecutor(
-            ensemble_size=8, rng=0, backend="auto", noise=depolarizing(0.1)
+            RunConfig(ensemble_size=8, seed=0, backend="auto", noise=depolarizing(0.1)),
         )
         engine = executor._new_backend(2, clifford=False)
         assert isinstance(engine, HybridCliffordBackend)
 
     def test_trajectory_spelling_rejects_non_pauli(self):
         executor = BreakpointExecutor(
-            ensemble_size=8, backend="trajectory", noise=amplitude_damping(0.1)
+            RunConfig(
+                ensemble_size=8,
+                backend="trajectory",
+                noise=amplitude_damping(0.1),
+            ),
         )
         with pytest.raises(ValueError, match="Pauli"):
             executor._new_backend(2)
 
     def test_instance_spec_with_noise_rejected(self):
         executor = BreakpointExecutor(
-            ensemble_size=8, backend=StatevectorBackend(), noise=bit_flip(0.1)
+            RunConfig(
+                ensemble_size=8,
+                backend=StatevectorBackend(),
+                noise=bit_flip(0.1),
+            ),
         )
         with pytest.raises(ValueError, match="registry"):
             executor._new_backend(2)
 
     def test_batch_matches_ensemble_in_sample_mode(self):
         executor = BreakpointExecutor(
-            ensemble_size=12, rng=0, noise=depolarizing(0.1)
+            RunConfig(ensemble_size=12, seed=0, noise=depolarizing(0.1)),
         )
         engine = executor._new_backend(2)
         assert engine.batch_size == 12
@@ -643,14 +652,14 @@ class TestExecutorRouting:
 
         def samples(seed):
             executor = BreakpointExecutor(
-                ensemble_size=24, rng=seed, noise=depolarizing(0.3)
+                RunConfig(ensemble_size=24, seed=seed, noise=depolarizing(0.3)),
             )
             return executor.run_plan(plan)[0].joint.samples
 
         assert samples(9) == samples(9)
         assert samples(9) != samples(10)
         executor = BreakpointExecutor(
-            ensemble_size=24, rng=9, noise=depolarizing(0.3)
+            RunConfig(ensemble_size=24, seed=9, noise=depolarizing(0.3)),
         )
         first = executor.run_plan(plan)[0].joint.samples
         second = executor.run_plan(plan)[0].joint.samples
@@ -680,7 +689,7 @@ class TestExecutorRouting:
 
     def test_rerun_mode_runs_one_trajectory_per_member(self):
         executor = BreakpointExecutor(
-            ensemble_size=6, rng=0, mode="rerun", noise=depolarizing(0.2)
+            RunConfig(ensemble_size=6, seed=0, mode="rerun", noise=depolarizing(0.2)),
         )
         plan = build_execution_plan(_bell_program())
         results = executor.run_plan(plan)
@@ -693,7 +702,7 @@ class TestExecutorRouting:
             gate_channels=(bit_flip(0.1),),
             readout=ReadoutErrorModel(p01=0.2, p10=0.2),
         )
-        executor = BreakpointExecutor(ensemble_size=8, noise=model)
+        executor = BreakpointExecutor(RunConfig(ensemble_size=8, noise=model))
         assert executor.readout_error.p01 == 0.2
 
     def test_explicit_ideal_readout_override_wins(self):
@@ -715,8 +724,12 @@ class TestExecutorRouting:
             return p
 
         executor = BreakpointExecutor(
-            ensemble_size=64, rng=SEED, noise=model,
-            readout_error=ReadoutErrorModel(),
+            RunConfig(
+                ensemble_size=64,
+                seed=SEED,
+                noise=model,
+                readout_error=ReadoutErrorModel(),
+            ),
         )
         samples = executor.run_plan(build_execution_plan(program()))[0].joint.samples
         assert samples == [1] * 64  # no readout corruption at all
@@ -743,7 +756,7 @@ class TestExecutorRouting:
             return p
 
         executor = BreakpointExecutor(
-            ensemble_size=32, rng=SEED, backend="auto", noise=model
+            RunConfig(ensemble_size=32, seed=SEED, backend="auto", noise=model),
         )
         samples = executor.run_plan(build_execution_plan(program()))[0].joint.samples
         assert samples == [0] * 32  # exactly one corruption pass
@@ -799,8 +812,12 @@ class TestStatisticalEquivalence:
         noise = NoiseModel.from_channels(depolarizing(self.RATE))
         exact = self._density_distributions(program, noise)
         executor = BreakpointExecutor(
-            ensemble_size=self.ENSEMBLE, rng=SEED, backend="trajectory",
-            noise=noise,
+            RunConfig(
+                ensemble_size=self.ENSEMBLE,
+                seed=SEED,
+                backend="trajectory",
+                noise=noise,
+            ),
         )
         measurements = executor.run_plan(build_execution_plan(program))
         assert len(measurements) == len(exact)
@@ -818,10 +835,12 @@ class TestStatisticalEquivalence:
                 program = build()
                 size = scenario.ensemble_size or 16
                 reference = check_program(
-                    program, ensemble_size=size, rng=SEED, backend="statevector"
+                    program,
+                    RunConfig(ensemble_size=size, seed=SEED, backend="statevector"),
                 )
                 trajectory = check_program(
-                    program, ensemble_size=size, rng=SEED, backend="trajectory"
+                    program,
+                    RunConfig(ensemble_size=size, seed=SEED, backend="trajectory"),
                 )
                 assert [r.outcome.passed for r in reference.records] == [
                     r.outcome.passed for r in trajectory.records
@@ -843,7 +862,7 @@ class TestStatisticalEquivalence:
 
         noise = NoiseModel.from_channels(bit_flip(0.2))
         executor = BreakpointExecutor(
-            ensemble_size=2048, rng=SEED, backend="trajectory", noise=noise
+            RunConfig(ensemble_size=2048, seed=SEED, backend="trajectory", noise=noise),
         )
         measurements = executor.run_plan(build_execution_plan(build()))
         result = chi_square_gof(measurements[0].joint.samples, [0.9, 0.1])
@@ -865,7 +884,7 @@ class TestStatisticalEquivalence:
         program = build()
         exact = self._density_distributions(program, noise)
         executor = BreakpointExecutor(
-            ensemble_size=1024, rng=SEED, backend="stabilizer", noise=noise
+            RunConfig(ensemble_size=1024, seed=SEED, backend="stabilizer", noise=noise),
         )
         measurements = executor.run_plan(build_execution_plan(program))
         result = chi_square_gof(measurements[0].joint.samples, exact[0])
@@ -899,8 +918,8 @@ class TestConvergence:
 
     def test_checker_runs_until_converged(self):
         checker = StatisticalAssertionChecker(
-            _bell_program(), ensemble_size=32, rng=SEED,
-            noise=depolarizing(0.05),
+            _bell_program(),
+            RunConfig(ensemble_size=32, seed=SEED, noise=depolarizing(0.05)),
         )
         checker.run_until_converged(se_cutoff=0.04, max_batches=16)
         assert checker.convergence
@@ -913,13 +932,17 @@ class TestConvergence:
         program = Program("plain")
         q = program.qreg("q", 1)
         program.h(q[0])
-        checker = StatisticalAssertionChecker(program, ensemble_size=4, rng=0)
+        checker = StatisticalAssertionChecker(
+            program,
+            RunConfig(ensemble_size=4, seed=0),
+        )
         report = checker.run_until_converged()
         assert report.records == [] and checker.convergence == []
 
     def test_cutoff_validated_before_any_walk(self):
         checker = StatisticalAssertionChecker(
-            _bell_program(), ensemble_size=4, rng=0
+            _bell_program(),
+            RunConfig(ensemble_size=4, seed=0),
         )
         with pytest.raises(ValueError, match="se_cutoff"):
             checker.run_until_converged(se_cutoff=0.0)
@@ -927,7 +950,8 @@ class TestConvergence:
 
     def test_checker_respects_batch_cap(self):
         checker = StatisticalAssertionChecker(
-            _bell_program(), ensemble_size=4, rng=SEED
+            _bell_program(),
+            RunConfig(ensemble_size=4, seed=SEED),
         )
         report = checker.run_until_converged(se_cutoff=1e-4, max_batches=3)
         assert report.records[0].ensemble_size == 12
@@ -955,9 +979,8 @@ class TestNoisyWorkloads:
             scenario.build_correct,
             scenario.build_buggy,
             error_rates=(0.0, 0.01),
-            ensemble_size=16,
             trials=2,
-            rng=SEED,
+            config=RunConfig(ensemble_size=16, seed=SEED),
         )
         assert [row["gate_error"] for row in rows] == [0.0, 0.01]
         assert rows[0]["false_positive_rate"] == 0.0
