@@ -16,10 +16,10 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from bench_helpers import append_trajectory, print_table
+from bench_helpers import append_trajectory, print_table, run_breakpoint_version
 from repro.algorithms.grover import build_grover_program
 from repro.algorithms.shor import build_shor_program
-from repro.compiler import BreakpointExecutor, build_execution_plan
+from repro.compiler import BreakpointExecutor, build_execution_plan, split_at_assertions
 from repro.core import DEFAULT_SIGNIFICANCE, RunConfig, build_evaluator
 
 SEED = 20190622
@@ -44,7 +44,9 @@ def _compare_engines(workload: str, program) -> dict:
 
     legacy = BreakpointExecutor(RunConfig(ensemble_size=ENSEMBLE_SIZE, seed=SEED))
     start = time.perf_counter()
-    legacy_measurements = [legacy.run(bp) for bp in plan.breakpoint_programs()]
+    legacy_measurements = [
+        run_breakpoint_version(legacy, bp) for bp in split_at_assertions(program)
+    ]
     legacy_seconds = time.perf_counter() - start
 
     incremental = BreakpointExecutor(RunConfig(ensemble_size=ENSEMBLE_SIZE, seed=SEED))

@@ -8,11 +8,32 @@ reproduction log referenced from EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from pathlib import Path
 
 import numpy as np
+
+from repro.compiler import build_execution_plan
+from repro.lang import Program
+
+
+def run_breakpoint_version(executor, breakpoint_program):
+    """Measure one breakpoint the paper's way: as its own program version.
+
+    The version is the breakpoint's prefix program (from
+    ``split_at_assertions``) with its assertion appended, compiled as a
+    one-breakpoint plan, so ``executor.run_plan`` re-simulates the whole
+    prefix from ``|0...0>``.  The result is labelled with
+    ``breakpoint_program``, i.e. with the breakpoint's index in the source
+    program.
+    """
+    version = Program(breakpoint_program.program.name)
+    version.extend(breakpoint_program.program)
+    version.append(breakpoint_program.assertion)
+    (measured,) = executor.run_plan(build_execution_plan(version))
+    return dataclasses.replace(measured, breakpoint=breakpoint_program)
 
 
 def append_trajectory(path: Path, entry: dict) -> None:

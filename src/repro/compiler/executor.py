@@ -1,19 +1,28 @@
-"""Breakpoint execution: simulate plans incrementally and collect ensembles.
+"""Breakpoint execution: walk execution plans and collect ensembles.
 
 The paper "simulates an ensemble of executions for each of the programs ending
 at each breakpoint" on the QX simulator.  The executor below reproduces that
-step on the pluggable simulation backends.  Two execution modes are offered:
+step on the pluggable simulation backends with one walk over the
+:class:`~repro.compiler.splitter.ExecutionPlan`.  Every breakpoint goes
+through the same two steps:
 
-* ``"sample"`` (default): walk the :class:`~repro.compiler.splitter.ExecutionPlan`
-  **once** — simulate each delta segment, snapshot the backend at the
-  breakpoint, draw the whole ensemble from the snapshot, restore, and keep
-  walking.  Breakpoint prefixes are measurement-free, so sampling the final
-  distribution is statistically identical to re-running the program, and the
-  shared-prefix walk costs O(total_gates) gate applications for a k-assertion
-  program instead of the O(total_gates x k) of per-prefix re-simulation.
-* ``"rerun"``: faithfully re-simulate each breakpoint prefix once per ensemble
-  member and perform a collapsing measurement each time, exactly as hardware
-  would.
+1. **advance or restore** — run the segment's delta instructions on the
+   engine, or, on a run served from the plan cache's recorded snapshots,
+   restore the breakpoint's token at zero gate cost;
+2. **measure** — draw the breakpoint's ensemble (or its per-setting
+   observable ensembles) and package it for the statistical tests.
+
+The two execution modes differ only in how often the walk runs:
+
+* ``"sample"`` (default): walk the plan **once** on a persistent engine,
+  snapshot at each breakpoint, draw the whole ensemble from the snapshot,
+  restore, and keep walking.  Breakpoint prefixes are measurement-free, so
+  sampling the final distribution is statistically identical to re-running
+  the program, and a k-assertion program costs O(total_gates) gate
+  applications instead of the O(total_gates x k) of per-prefix re-simulation.
+* ``"rerun"``: for every breakpoint and every ensemble member, walk the
+  breakpoint's prefix on a fresh engine and perform one collapsing
+  measurement, exactly as hardware would.
 
 Gate applications are accounted in :attr:`BreakpointExecutor.gates_applied`
 via the backend's instrumented counter, so tests and benchmarks can verify
@@ -21,7 +30,7 @@ the work bound directly.
 
 ``backend="auto"`` adds hybrid Clifford-prefix routing on top of the
 registry spellings: the executor reads the plan's Clifford metadata and runs
-all-Clifford plans on the stabilizer tableau outright, while mixed plans run
+all-Clifford walks on the stabilizer tableau outright, while mixed walks run
 on :class:`~repro.sim.stabilizer_backend.HybridCliffordBackend`, which
 simulates the maximal Clifford prefix on a tableau and converts to a dense
 statevector exactly once, at the first non-Clifford gate.
@@ -41,7 +50,7 @@ shared — so seeded runs stay reproducible under any batching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,7 +62,6 @@ from ..lang.instructions import (
     ProductAssertInstruction,
     SuperpositionAssertInstruction,
 )
-from ..lang.clifford import is_clifford_instruction
 from ..lang.program import Program, run_instructions
 from ..observables.grouping import MeasurementSetting, group_terms
 from ..sim import gates as _gates
@@ -68,7 +76,7 @@ from ..sim.registry import (
 )
 from ..sim.trajectory_backend import spawn_trajectory_streams
 from .plan_cache import PlanCache, SnapshotSet, default_plan_cache
-from .splitter import BreakpointProgram, ExecutionPlan, build_execution_plan
+from .splitter import ExecutionPlan, PlanSegment, build_execution_plan
 
 __all__ = [
     "BreakpointMeasurements",
@@ -81,7 +89,8 @@ __all__ = [
 class BreakpointMeasurements:
     """Ensembles collected at one breakpoint, pre-sliced per assertion operand."""
 
-    breakpoint: BreakpointProgram
+    #: The breakpoint's plan segment (index, name, assertion, gates_before).
+    breakpoint: PlanSegment
     #: Joint ensemble over every qubit the assertion mentions (order = assertion.qubits()).
     joint: MeasurementEnsemble
     #: Ensemble of the first operand group (classical/superposition: the whole register).
@@ -104,14 +113,14 @@ class ObservableMeasurements:
     ``ensembles`` stays empty.
     """
 
-    breakpoint: BreakpointProgram
+    breakpoint: PlanSegment
     settings: "tuple[MeasurementSetting, ...]"
     ensembles: "list[MeasurementEnsemble | None]"
     exact: "object | None" = None
 
 
 class BreakpointExecutor:
-    """Runs breakpoint plans/programs and produces measurement ensembles."""
+    """Runs execution plans and produces per-breakpoint measurement ensembles."""
 
     def __init__(self, config=None, *, rng: np.random.Generator | None = None):
         """``config`` is a :class:`repro.RunConfig` (or mapping, or ``None``).
@@ -150,7 +159,9 @@ class BreakpointExecutor:
         #: Root entropy of the per-trajectory rng streams; spawned lazily from
         #: the executor's own stream so seeded executors stay reproducible.
         self._noise_seed_root: np.random.SeedSequence | None = None
-        #: Cumulative gate applications across every run (cost accounting).
+        #: Cumulative gate applications of plan walks across every run (cost
+        #: accounting).  The basis rotations of observable readout are part
+        #: of measuring, like sampling, and are not counted.
         self.gates_applied = 0
         #: Subset of :attr:`gates_applied` that ran on a dense statevector
         #: representation (0 for tableau walks; what hybrid routing saves).
@@ -159,12 +170,8 @@ class BreakpointExecutor:
         #: from cached breakpoint snapshots instead of re-walking the plan.
         self.shared_prefix_gates_saved = 0
         #: Memory-aware routing decision of the most recent backend build
-        #: (``run_plan`` copies it onto the plan's ``routing_note``).
+        #: (:meth:`_engine_for` copies it onto the plan's ``routing_note``).
         self._routing_note: str | None = None
-
-    # ------------------------------------------------------------------
-    # Incremental plan execution (the O(total_gates) path)
-    # ------------------------------------------------------------------
 
     def plan_for(self, program: Program) -> ExecutionPlan:
         """The execution plan for ``program``, via the shared plan cache.
@@ -189,15 +196,16 @@ class BreakpointExecutor:
         instructions run on a persistent backend, the state is checkpointed
         at the breakpoint, the ensemble is drawn from the checkpoint and the
         state restored, so sampling at breakpoint *i* can never perturb
-        breakpoint *i + 1*.  ``"rerun"`` mode keeps the faithful per-member
-        re-simulation of every prefix.
+        breakpoint *i + 1*.  ``"rerun"`` mode loops over the same steps:
+        every ensemble member of every breakpoint gets a fresh engine that
+        walks the breakpoint's whole prefix.
 
         Cache-stamped plans (built via :meth:`plan_for`) whose walk is
         noiseless and rng-free additionally share breakpoint snapshots
         across runs: the first run on a backend family records one snapshot
-        token per breakpoint, and later runs restore those tokens and draw
-        their ensembles directly — the same rng draws, states and verdicts
-        with zero gate applications.
+        token per breakpoint, and later runs restore those tokens instead of
+        running the deltas — the same rng draws, states and verdicts with
+        zero gate applications.
 
         ``skip_indices`` names breakpoints the caller has already decided
         (the checker's static pre-flight): their segments are still walked
@@ -208,71 +216,41 @@ class BreakpointExecutor:
         """
         if self.mode == "rerun":
             return [
-                self.run(bp)
-                for bp in plan.breakpoint_programs()
-                if bp.index not in skip_indices
+                self._measure(plan, segment, self._rerun_engines(plan, segment))
+                for segment in plan.segments
+                if segment.index not in skip_indices
             ]
         backend_key = self._snapshot_backend_key(plan) if not skip_indices else None
+        served = recorder = None
         if backend_key is not None:
-            cached = self.plan_cache.snapshots_for(plan, backend_key)
-            if cached is not None:
-                return self._sample_from_snapshots(plan, cached)
-        program = plan.program
-        engine = self._new_backend(program.num_qubits, clifford=plan.is_clifford)
-        if self._routing_note:
-            plan.routing_note = self._routing_note
-        native, displaced = self._install_readout(engine)
-        gates_before_walk = engine.gates_applied
-        dense_before_walk = engine.statevector_gates_applied
-        breakpoint_views = plan.breakpoint_programs()
-        recorder = (
-            SnapshotSet(backend_name=backend_key, engine=engine)
-            if backend_key is not None
-            else None
-        )
+            served = self.plan_cache.snapshots_for(plan, backend_key)
+        if served is not None:
+            engine = served.engine
+        else:
+            engine = self._engine_for(plan, plan.is_clifford)
+            if backend_key is not None:
+                recorder = SnapshotSet(backend_name=backend_key, engine=engine)
+        walked = (self.gates_applied, self.statevector_gates_applied)
         results: list[BreakpointMeasurements] = []
-        try:
-            for segment, view in zip(plan.segments, breakpoint_views):
-                run_instructions(program, segment.instructions, engine, rng=self.rng)
-                if segment.index in skip_indices:
-                    continue
-                if isinstance(segment.assertion, AssertObservableInstruction):
-                    # Observable breakpoints draw per-setting rotated
-                    # ensembles (or evaluate exactly on a tableau); the
-                    # walk state is snapshot/restore-bracketed inside.
-                    results.append(
-                        self._measure_observable(
-                            view, program, engine, native_readout=native
-                        )
-                    )
-                    continue
-                indices = [program.qubit_index(q) for q in segment.assertion.qubits()]
-                # Snapshot/restore brackets the readout so the walk stays intact
-                # even on backends whose sampling is destructive.
+        for segment in plan.segments:
+            token = self._advance(plan, engine, (segment,), served)
+            if segment.index in skip_indices:
+                continue
+            bracket = token is None and not _is_observable(segment)
+            if bracket:
+                # Snapshot/restore brackets the readout so the walk stays
+                # intact even on backends whose sampling is destructive.
                 token = engine.snapshot()
-                samples = engine.sample(indices, shots=self.ensemble_size, rng=self.rng)
+            results.append(self._measure(plan, segment, (engine,)))
+            if bracket:
                 engine.restore(token)
-                if recorder is not None:
-                    recorder.tokens.append(token)
-                    recorder.indices.append(indices)
-                results.append(
-                    self._package(
-                        view,
-                        indices,
-                        samples,
-                        native_readout=native,
-                        weights=self._member_weights(engine, len(samples)),
-                    )
-                )
-        finally:
-            self._restore_readout(engine, native, displaced)
-        walk_gates = engine.gates_applied - gates_before_walk
-        walk_dense = engine.statevector_gates_applied - dense_before_walk
-        self.gates_applied += walk_gates
-        self.statevector_gates_applied += walk_dense
+            if recorder is not None:
+                recorder.tokens.append(token)
+        if served is not None:
+            self.shared_prefix_gates_saved += served.walk_gates
         if recorder is not None:
-            recorder.walk_gates = walk_gates
-            recorder.walk_statevector_gates = walk_dense
+            recorder.walk_gates = self.gates_applied - walked[0]
+            recorder.walk_statevector_gates = self.statevector_gates_applied - walked[1]
             self.plan_cache.record_snapshots(plan, recorder)
         return results
 
@@ -293,100 +271,103 @@ class BreakpointExecutor:
         # Observable breakpoints replay rotated per-setting draws, not one
         # plain ensemble per token — the recorded snapshot protocol cannot
         # reproduce them, so such plans opt out of snapshot sharing.
-        if any(
-            isinstance(segment.assertion, AssertObservableInstruction)
-            for segment in plan.segments
-        ):
+        if any(_is_observable(segment) for segment in plan.segments):
             return None
         spec = self.backend
         if spec is not None and not isinstance(spec, str):
             return None
         return resolve_backend_name(spec, clifford=plan.is_clifford)
 
-    def _sample_from_snapshots(
-        self, plan: ExecutionPlan, cached: SnapshotSet
-    ) -> list[BreakpointMeasurements]:
-        """Serve a run from recorded breakpoint snapshots (no gate work).
+    def _advance(
+        self,
+        plan: ExecutionPlan,
+        engine: SimulationBackend,
+        segments: Sequence[PlanSegment],
+        served: SnapshotSet | None = None,
+    ) -> object | None:
+        """Bring ``engine`` to the breakpoint state that ends ``segments``.
 
-        Restores each breakpoint's token on the cache-owned engine and draws
-        the ensemble exactly as the cold walk would have — the recorded walk
-        was rng-free, so the draw sequence (sampling, readout corruption)
-        is identical and so are the verdicts.
+        A snapshot-served run restores the breakpoint's recorded token and
+        returns it; otherwise the segments' deltas run on the engine and the
+        gate counters grow by the engine's instrumented count.
         """
-        engine = cached.engine
-        native, displaced = self._install_readout(engine)
-        results: list[BreakpointMeasurements] = []
-        try:
-            for view, token, indices in zip(
-                plan.breakpoint_programs(), cached.tokens, cached.indices
-            ):
-                engine.restore(token)
-                samples = engine.sample(indices, shots=self.ensemble_size, rng=self.rng)
-                results.append(
-                    self._package(view, indices, samples, native_readout=native)
-                )
-        finally:
-            self._restore_readout(engine, native, displaced)
-        self.shared_prefix_gates_saved += cached.walk_gates
-        return results
+        if served is not None:
+            token = served.tokens[segments[-1].index]
+            engine.restore(token)
+            return token
+        gates, dense = engine.gates_applied, engine.statevector_gates_applied
+        for segment in segments:
+            run_instructions(plan.program, segment.instructions, engine, rng=self.rng)
+        self.gates_applied += engine.gates_applied - gates
+        self.statevector_gates_applied += engine.statevector_gates_applied - dense
+        return None
 
-    def run_program(self, program: Program) -> list[BreakpointMeasurements]:
-        """Convenience: compile ``program`` to a plan (via the cache) and run it."""
-        return self.run_plan(self.plan_for(program))
+    def _rerun_engines(
+        self, plan: ExecutionPlan, segment: PlanSegment
+    ) -> Iterator[SimulationBackend]:
+        """Fresh engines holding ``segment``'s breakpoint state (rerun mode).
 
-    # ------------------------------------------------------------------
-    # Legacy per-breakpoint execution (compatibility / "rerun" fidelity)
-    # ------------------------------------------------------------------
-
-    def run(self, breakpoint_program: BreakpointProgram) -> BreakpointMeasurements:
-        """Collect the measurement ensemble for one breakpoint in isolation.
-
-        This is the paper's literal scheme: the whole prefix is re-simulated
-        from ``|0...0>``.  :meth:`run_plan` is the cheaper equivalent when
-        checking every breakpoint of a program.
+        One engine per ensemble member, each re-simulating the whole prefix
+        from ``|0...0>``; an observable breakpoint gets one, since its
+        per-setting shots are drawn from the (measurement-free) prefix
+        state.  Engines are built lazily, so each member's construction,
+        walk and measurement draw from the rng in that order.
         """
-        assertion = breakpoint_program.assertion
-        program = breakpoint_program.program
-        if isinstance(assertion, AssertObservableInstruction):
-            # Observable breakpoints always simulate the (measurement-free)
-            # prefix once and draw their per-setting ensembles from the
-            # breakpoint state — statistically identical to per-shot reruns.
-            engine = self._new_backend(
-                program.num_qubits, clifford=self._all_clifford(program)
-            )
-            native, displaced = self._install_readout(engine)
-            counted = engine.gates_applied
-            dense_counted = engine.statevector_gates_applied
-            try:
-                run_instructions(program, program.instructions, engine, rng=self.rng)
-                result = self._measure_observable(
-                    breakpoint_program, program, engine, native_readout=native
-                )
-            finally:
-                self._restore_readout(engine, native, displaced)
-            self.gates_applied += engine.gates_applied - counted
-            self.statevector_gates_applied += (
-                engine.statevector_gates_applied - dense_counted
-            )
-            return result
-        qubits = assertion.qubits()
-        indices = [program.qubit_index(q) for q in qubits]
+        prefix = plan.segments[: segment.index + 1]
+        clifford = all(earlier.is_clifford for earlier in prefix)
+        members = 1 if _is_observable(segment) else self.ensemble_size
+        for _ in range(members):
+            engine = self._engine_for(plan, clifford)
+            self._advance(plan, engine, prefix)
+            yield engine
 
-        if self.mode == "sample":
-            samples, native, weights = self._sample_mode(program, indices)
+    def _measure(
+        self,
+        plan: ExecutionPlan,
+        segment: PlanSegment,
+        engines: Iterable[SimulationBackend],
+    ) -> "BreakpointMeasurements | ObservableMeasurements":
+        """Measure one breakpoint and package its ensemble.
+
+        ``engines`` hold the breakpoint state: the one walk engine in
+        ``"sample"`` mode (the whole ensemble is drawn from it), or one
+        engine per ensemble member in ``"rerun"`` mode, each read by a
+        collapsing measurement.  Those member engines never get the readout
+        model installed natively: backends keep ``measure`` ideal
+        (mid-circuit resets must match across backends), so
+        :meth:`_package` applies the classical corruption — exactly the
+        statevector semantics.
+        """
+        program = plan.program
+        indices = [program.qubit_index(q) for q in segment.assertion.qubits()]
+        if self.mode == "rerun" and not _is_observable(segment):
+            native = False
+            samples: list[int] = []
+            members: "list[list[float] | None]" = []
+            for engine in engines:
+                samples.append(int(engine.measure(indices, rng=self.rng)))
+                members.append(self._member_weights(engine, 1))
+            weights = None
+            if any(member is not None for member in members):
+                weights = [1.0 if m is None else m[0] for m in members]
         else:
-            samples, native, weights = self._rerun_mode(program, indices)
-
-        return self._package(
-            breakpoint_program, indices, samples, native_readout=native,
-            weights=weights,
-        )
-
-    # ------------------------------------------------------------------
+            (engine,) = engines
+            native, displaced = self._install_readout(engine)
+            try:
+                if _is_observable(segment):
+                    return self._measure_observable(
+                        segment, program, engine, native_readout=native
+                    )
+                samples = engine.sample(indices, shots=self.ensemble_size, rng=self.rng)
+            finally:
+                if native:
+                    engine.set_readout_error(displaced)
+            weights = self._member_weights(engine, len(samples))
+        return self._package(segment, indices, samples, native, weights)
 
     def _package(
         self,
-        breakpoint_program: BreakpointProgram,
+        segment: PlanSegment,
         indices: list[int],
         samples: Sequence[int],
         native_readout: bool = False,
@@ -400,17 +381,17 @@ class BreakpointExecutor:
         joint = MeasurementEnsemble(
             num_bits=len(indices),
             samples=samples,
-            label=breakpoint_program.name,
+            label=segment.name,
             weights=None if weights is None else list(weights),
         )
-        group_a, group_b = self._slice_groups(breakpoint_program.assertion, joint)
+        group_a, group_b = self._slice_groups(segment.assertion, joint)
         return BreakpointMeasurements(
-            breakpoint=breakpoint_program, joint=joint, group_a=group_a, group_b=group_b
+            breakpoint=segment, joint=joint, group_a=group_a, group_b=group_b
         )
 
     def _measure_observable(
         self,
-        breakpoint_program: BreakpointProgram,
+        segment: PlanSegment,
         program: Program,
         engine: SimulationBackend,
         native_readout: bool = False,
@@ -429,14 +410,14 @@ class BreakpointExecutor:
         from ..observables.estimation import rotation_ops
         from ..observables.exact import exact_estimate, tableau_engine
 
-        assertion = breakpoint_program.assertion
+        assertion = segment.assertion
         observable = assertion.observable
         settings = tuple(
             group_terms(observable, grouped=self.config.group_observables)
         )
         if self.readout_error.is_ideal and tableau_engine(engine) is not None:
             return ObservableMeasurements(
-                breakpoint=breakpoint_program,
+                breakpoint=segment,
                 settings=settings,
                 ensembles=[],
                 exact=exact_estimate(engine, observable),
@@ -471,14 +452,14 @@ class BreakpointExecutor:
                     MeasurementEnsemble(
                         num_bits=len(indices),
                         samples=samples,
-                        label=f"{breakpoint_program.name}:{setting.describe()}",
+                        label=f"{segment.name}:{setting.describe()}",
                         weights=weights,
                     )
                 )
         finally:
             engine.restore(token)
         return ObservableMeasurements(
-            breakpoint=breakpoint_program,
+            breakpoint=segment,
             settings=settings,
             ensembles=ensembles,
             exact=None,
@@ -501,6 +482,13 @@ class BreakpointExecutor:
         if weights is None or len(weights) != sample_count:
             return None
         return [float(w) for w in weights]
+
+    def _engine_for(self, plan: ExecutionPlan, clifford: bool) -> SimulationBackend:
+        """A fresh engine for ``plan``, recording any routing decision on it."""
+        engine = self._new_backend(plan.program.num_qubits, clifford=clifford)
+        if self._routing_note:
+            plan.routing_note = self._routing_note
+        return engine
 
     def _new_backend(
         self, num_qubits: int, clifford: bool | None = None
@@ -633,77 +621,15 @@ class BreakpointExecutor:
         breakpoint, replacing per-member corrupted re-sampling.  Returns
         ``(native, displaced)``: ``native`` says whether the backend now owns
         the channel (so :meth:`_package` must not corrupt a second time) and
-        ``displaced`` is the backend's own model, which
-        :meth:`_restore_readout` puts back — a caller-owned instance must not
-        keep this executor's noise after the run.
+        ``displaced`` is the backend's own model, which the caller puts back —
+        a caller-owned instance must not keep this executor's noise after
+        the run.
         """
         if engine.supports_readout_noise and not self.readout_error.is_ideal:
             displaced = getattr(engine, "readout_error", None)
             engine.set_readout_error(self.readout_error)
             return True, displaced
         return False, None
-
-    @staticmethod
-    def _restore_readout(
-        engine: SimulationBackend,
-        native: bool,
-        displaced: ReadoutErrorModel | None,
-    ) -> None:
-        if native:
-            engine.set_readout_error(displaced)
-
-    def _sample_mode(
-        self, program: Program, indices: list[int]
-    ) -> tuple[Sequence[int], bool, "list[float] | None"]:
-        engine = self._new_backend(
-            program.num_qubits, clifford=self._all_clifford(program)
-        )
-        native, displaced = self._install_readout(engine)
-        counted = engine.gates_applied
-        dense_counted = engine.statevector_gates_applied
-        try:
-            run_instructions(program, program.instructions, engine, rng=self.rng)
-            self.gates_applied += engine.gates_applied - counted
-            self.statevector_gates_applied += (
-                engine.statevector_gates_applied - dense_counted
-            )
-            samples = engine.sample(indices, shots=self.ensemble_size, rng=self.rng)
-        finally:
-            self._restore_readout(engine, native, displaced)
-        return samples, native, self._member_weights(engine, len(samples))
-
-    def _rerun_mode(
-        self, program: Program, indices: list[int]
-    ) -> tuple[list[int], bool, "list[float] | None"]:
-        # Rerun mode never installs the readout model natively: ensembles
-        # come from per-member collapsing measurements, and backends keep
-        # `measure` ideal (mid-circuit resets must match across backends),
-        # so _package applies the classical corruption — exactly the
-        # statevector semantics.
-        samples = []
-        weights: list[float] = []
-        weighted = False
-        clifford = self._all_clifford(program)
-        for _ in range(self.ensemble_size):
-            engine = self._new_backend(program.num_qubits, clifford=clifford)
-            counted = engine.gates_applied
-            dense_counted = engine.statevector_gates_applied
-            run_instructions(program, program.instructions, engine, rng=self.rng)
-            self.gates_applied += engine.gates_applied - counted
-            self.statevector_gates_applied += (
-                engine.statevector_gates_applied - dense_counted
-            )
-            samples.append(int(engine.measure(indices, rng=self.rng)))
-            member = self._member_weights(engine, 1)
-            weighted = weighted or member is not None
-            weights.append(1.0 if member is None else member[0])
-        return samples, False, weights if weighted else None
-
-    def _all_clifford(self, program: Program) -> bool | None:
-        """Plan-free Clifford verdict for ``"auto"`` routing (None = skip)."""
-        if self.backend != "auto":
-            return None
-        return all(is_clifford_instruction(i) for i in program.instructions)
 
     # ------------------------------------------------------------------
 
@@ -722,3 +648,7 @@ class BreakpointExecutor:
             )
             return group_a, group_b
         raise TypeError(f"unknown assertion type {type(assertion)!r}")
+
+
+def _is_observable(segment: PlanSegment) -> bool:
+    return isinstance(segment.assertion, AssertObservableInstruction)

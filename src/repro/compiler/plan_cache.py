@@ -205,15 +205,13 @@ class SnapshotSet:
     """One recorded noiseless plan walk on one backend family.
 
     Holds the (cache-owned) backend instance left at the end of the walk,
-    one snapshot token and operand-index list per plan segment, and the gate
-    work the walk cost — which is exactly the work every snapshot-served run
-    saves.
+    one snapshot token per plan segment, and the gate work the walk cost —
+    which is exactly the work every snapshot-served run saves.
     """
 
     backend_name: str
     engine: SimulationBackend
     tokens: list = field(default_factory=list)
-    indices: list = field(default_factory=list)
     #: Gate applications the recorded walk performed (total / dense subset).
     walk_gates: int = 0
     walk_statevector_gates: int = 0

@@ -12,10 +12,15 @@ This module instead compiles the program into an :class:`ExecutionPlan` made
 of :class:`PlanSegment`\\ s — the *delta* instructions between consecutive
 breakpoints.  Consecutive breakpoints share their common prefix, so an
 incremental executor (:mod:`repro.compiler.executor`) can walk the plan once,
-checkpoint at each breakpoint, and do O(total_gates) work overall.  The
-original per-breakpoint view is still available: :class:`BreakpointProgram`
-remains as a thin compatibility layer materialised on demand via
-:func:`split_at_assertions` or :meth:`ExecutionPlan.breakpoint_programs`.
+checkpoint at each breakpoint, and do O(total_gates) work overall.  Each
+segment carries what the executor and the report need about its breakpoint
+(index, name, assertion, cumulative gate count), so no prefix program is
+ever built to check one.
+
+The paper's per-version output is kept as an export:
+:func:`split_at_assertions` (or :meth:`ExecutionPlan.breakpoint_programs`)
+materialises one :class:`BreakpointProgram` — a full prefix program plus its
+assertion — per breakpoint, e.g. to print or emit each version as OpenQASM.
 """
 
 from __future__ import annotations
@@ -48,9 +53,9 @@ __all__ = [
 class BreakpointProgram:
     """One breakpoint: a runnable prefix program plus the assertion to check.
 
-    Compatibility view over the plan: the prefix program replays every
-    non-assertion instruction before the breakpoint, exactly as the paper's
-    per-version compilation does.
+    The paper's per-version export of a plan: the prefix program replays
+    every non-assertion instruction before the breakpoint, exactly as the
+    paper's per-version compilation does.
     """
 
     index: int
@@ -200,39 +205,26 @@ class ExecutionPlan:
             )
         return total
 
-    def _materialize_prefix(self, index: int, instructions: list) -> Program:
-        """Build a prefix program from pre-validated instructions.
+    def breakpoint_programs(self) -> list[BreakpointProgram]:
+        """The paper's per-version export: one prefix program per assertion.
 
         The instructions were validated against the same registers when the
         source program was built, so they are placed directly instead of
         re-validated through ``Program.append``.
         """
-        prefix = Program(f"{self.program.name}_bp{index}")
-        for register in self.program.registers:
-            prefix.add_register(register)
-        prefix.instructions = instructions
-        return prefix
-
-    def prefix_program(self, index: int) -> Program:
-        """Materialise the full prefix program of breakpoint ``index``."""
-        instructions = [
-            instruction
-            for earlier in self.segments[: index + 1]
-            for instruction in earlier.instructions
-        ]
-        return self._materialize_prefix(index, instructions)
-
-    def breakpoint_programs(self) -> list[BreakpointProgram]:
-        """The legacy per-breakpoint view (one prefix program per assertion)."""
         programs = []
         cumulative: list = []
         for segment in self.segments:
             cumulative.extend(segment.instructions)
+            prefix = Program(f"{self.program.name}_bp{segment.index}")
+            for register in self.program.registers:
+                prefix.add_register(register)
+            prefix.instructions = list(cumulative)
             programs.append(
                 BreakpointProgram(
                     index=segment.index,
                     name=segment.name,
-                    program=self._materialize_prefix(segment.index, list(cumulative)),
+                    program=prefix,
                     assertion=segment.assertion,
                     gates_before=segment.gates_before,
                 )
@@ -311,7 +303,7 @@ def build_execution_plan(program: Program) -> ExecutionPlan:
 def split_at_assertions(program: Program) -> list[BreakpointProgram]:
     """Split ``program`` into one breakpoint program per assertion statement.
 
-    Compatibility wrapper over :func:`build_execution_plan`: each returned
+    The per-version export of :func:`build_execution_plan`: each returned
     :class:`BreakpointProgram` contains every non-assertion instruction that
     precedes its assertion in the original program (gates, preparations,
     barriers and block markers), materialised from the plan's shared-prefix

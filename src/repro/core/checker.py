@@ -3,10 +3,10 @@
 ``StatisticalAssertionChecker`` wires together the three stages described in
 Section 3.3 of the paper:
 
-1. the compiler splits the program into one breakpoint program per assertion
-   (:mod:`repro.compiler.splitter`);
-2. the simulator runs an ensemble of executions for each breakpoint program
-   (:mod:`repro.compiler.executor`);
+1. the compiler turns the program into a shared-prefix execution plan with
+   one segment per assertion (:mod:`repro.compiler.splitter`);
+2. the simulator runs an ensemble of executions for each breakpoint of the
+   plan (:mod:`repro.compiler.executor`);
 3. the measurement results feed into chi-square statistical tests that decide
    whether each assertion held (:mod:`repro.core.assertions`).
 
@@ -28,11 +28,7 @@ from ..compiler.executor import (
     BreakpointMeasurements,
     ObservableMeasurements,
 )
-from ..compiler.splitter import (
-    BreakpointProgram,
-    ExecutionPlan,
-    split_at_assertions,
-)
+from ..compiler.splitter import ExecutionPlan
 from ..lang.instructions import (
     AssertionInstruction,
     AssertObservableInstruction,
@@ -145,9 +141,6 @@ class StatisticalAssertionChecker:
         """
         return self.executor.plan_for(self.program)
 
-    def breakpoints(self) -> list[BreakpointProgram]:
-        return split_at_assertions(self.program)
-
     # ------------------------------------------------------------------
     # Static analysis (stabilizer abstract interpretation)
     # ------------------------------------------------------------------
@@ -250,11 +243,6 @@ class StatisticalAssertionChecker:
         self._record_static_savings(plan, decided, full=True)
         return report
 
-    def evaluate_breakpoint(self, breakpoint_program: BreakpointProgram) -> AssertionOutcome:
-        """Run one breakpoint in isolation and evaluate its assertion."""
-        measurements = self.executor.run(breakpoint_program)
-        return self._evaluate(measurements)
-
     def _evaluate(self, measurements) -> AssertionOutcome:
         evaluator = build_evaluator(
             measurements.breakpoint.assertion, self.significance
@@ -280,22 +268,22 @@ class StatisticalAssertionChecker:
 
     def _sampled_record(self, measurements) -> BreakpointRecord:
         """Build the report record for one executor measurement bundle."""
-        breakpoint_program = measurements.breakpoint
+        segment = measurements.breakpoint
         outcome = self._evaluate(measurements)
         if isinstance(measurements, ObservableMeasurements):
             estimate = self._observable_estimate(measurements)
             return BreakpointRecord(
-                index=breakpoint_program.index,
-                name=breakpoint_program.name,
-                gates_before=breakpoint_program.gates_before,
+                index=segment.index,
+                name=segment.name,
+                gates_before=segment.gates_before,
                 outcome=outcome,
                 ensemble_size=int(round(estimate.total_shots)),
                 method="observable",
             )
         return BreakpointRecord(
-            index=breakpoint_program.index,
-            name=breakpoint_program.name,
-            gates_before=breakpoint_program.gates_before,
+            index=segment.index,
+            name=segment.name,
+            gates_before=segment.gates_before,
             outcome=outcome,
             ensemble_size=measurements.joint.num_samples,
         )
@@ -347,13 +335,19 @@ class StatisticalAssertionChecker:
     def _record_static_savings(self, plan, decided, *, full: bool) -> None:
         """Thread skipped work into the plan/cache counters.
 
-        A full short-circuit skips the entire plan walk; a partial one (or
-        any ``"rerun"``-mode skip) saves the skipped breakpoints' prefix
-        re-simulation but still walks the plan for the sampled remainder.
+        A full short-circuit skips the entire plan walk; a partial one
+        still walks the plan for the sampled remainder.  A ``"rerun"``-mode
+        skip saves the skipped breakpoints' prefix re-simulations: one per
+        ensemble member, or one for an observable breakpoint.
         """
         if self.executor.mode == "rerun":
             gates_saved = sum(
                 segment.gates_before
+                * (
+                    1
+                    if isinstance(segment.assertion, AssertObservableInstruction)
+                    else self.ensemble_size
+                )
                 for segment in plan.segments
                 if segment.index in decided
             )

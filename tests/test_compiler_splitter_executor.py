@@ -1,7 +1,14 @@
 """Tests for breakpoint splitting and ensemble execution."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+
+from bench_helpers import run_breakpoint_version  # noqa: E402
 
 from repro import RunConfig
 from repro.compiler import BreakpointExecutor, split_at_assertions
@@ -77,7 +84,7 @@ class TestExecutor:
         program, *_ = program_with_three_breakpoints()
         breakpoints = split_at_assertions(program)
         executor = BreakpointExecutor(RunConfig(ensemble_size=12), rng=rng)
-        measurements = executor.run(breakpoints[0])
+        measurements = run_breakpoint_version(executor, breakpoints[0])
         assert measurements.joint.num_samples == 12
         assert set(measurements.group_a.samples) == {2}
         assert measurements.group_b is None
@@ -86,7 +93,7 @@ class TestExecutor:
         program, a, b = program_with_three_breakpoints()
         breakpoints = split_at_assertions(program)
         executor = BreakpointExecutor(RunConfig(ensemble_size=24), rng=rng)
-        measurements = executor.run(breakpoints[2])
+        measurements = run_breakpoint_version(executor, breakpoints[2])
         assert measurements.group_a.num_bits == 1
         assert measurements.group_b.num_bits == 1
         # a[0] and b[0] are perfectly correlated after the CNOT.
@@ -96,7 +103,7 @@ class TestExecutor:
         program, *_ = program_with_three_breakpoints()
         breakpoints = split_at_assertions(program)
         executor = BreakpointExecutor(RunConfig(ensemble_size=40, seed=3, mode="rerun"))
-        measurements = executor.run(breakpoints[1])
+        measurements = run_breakpoint_version(executor, breakpoints[1])
         counts = measurements.group_a.counts()
         assert sum(counts.values()) == 40
         assert set(counts) <= {0, 1, 2, 3}
@@ -111,7 +118,7 @@ class TestExecutor:
                 readout_error=ReadoutErrorModel(p01=1.0, p10=1.0),
             ),
         )
-        measurements = executor.run(breakpoints[0])
+        measurements = run_breakpoint_version(executor, breakpoints[0])
         # Every bit flips, so the prepared value 2 reads as 1 (two-bit register).
         assert set(measurements.group_a.samples) == {1}
 

@@ -1,18 +1,32 @@
 """Equivalence and work-bound tests for the incremental checkpointed executor.
 
 The incremental engine must be a pure optimisation: under a fixed seed its
-measurement ensembles and chi-square verdicts match the legacy per-prefix
-path on every bug scenario, while performing O(total_gates) gate
-applications instead of O(total_gates x k).
+measurement ensembles and chi-square verdicts match the paper's per-version
+scheme (each breakpoint prefix compiled and run as its own program) on every
+bug scenario, while performing O(total_gates) gate applications instead of
+O(total_gates x k).
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+
+from bench_helpers import run_breakpoint_version  # noqa: E402
 from repro.bugs import BUG_SCENARIOS
-from repro.compiler import BreakpointExecutor, build_execution_plan, split_at_assertions
-from repro.core import DEFAULT_SIGNIFICANCE, RunConfig, build_evaluator
+from repro.compiler import (
+    BreakpointExecutor,
+    ExecutionPlan,
+    build_execution_plan,
+    split_at_assertions,
+)
+from repro.core import DEFAULT_SIGNIFICANCE, RunConfig, build_evaluator, check_program
+from repro.core.checker import StatisticalAssertionChecker
 from repro.lang import Program
+from repro.observables.pauli import PauliString, PauliSum
 from repro.sim import StatevectorBackend
 from repro.lang.program import run_instructions
 
@@ -22,7 +36,9 @@ SEED = 20190622
 def _legacy_measurements(program, ensemble_size, seed):
     """The paper's literal scheme: every breakpoint prefix re-simulated."""
     executor = BreakpointExecutor(RunConfig(ensemble_size=ensemble_size, seed=seed))
-    measurements = [executor.run(bp) for bp in split_at_assertions(program)]
+    measurements = [
+        run_breakpoint_version(executor, bp) for bp in split_at_assertions(program)
+    ]
     return measurements, executor.gates_applied
 
 
@@ -174,9 +190,65 @@ class TestSnapshotIsolation:
             backend.restore(token)
 
         # The walk covered gates up to the last breakpoint only.
-        prefix = plan.prefix_program(plan.num_breakpoints - 1)
+        prefix = split_at_assertions(program)[-1].program
         expected = prefix.simulate()
         assert np.allclose(backend.to_statevector().data, expected.data)
+
+
+class TestNoPrefixPrograms:
+    """Every executor path walks plan segments; none builds prefix programs."""
+
+    @pytest.fixture(autouse=True)
+    def _refuse_prefix_programs(self, monkeypatch):
+        def refuse(plan):
+            raise AssertionError("the executor built per-breakpoint prefix programs")
+
+        monkeypatch.setattr(ExecutionPlan, "breakpoint_programs", refuse)
+
+    @staticmethod
+    def _program():
+        return BUG_SCENARIOS["control_routing"].build_correct()
+
+    @pytest.mark.parametrize("mode", ["sample", "rerun"])
+    def test_cold_run(self, mode):
+        program = self._program()
+        report = check_program(program, RunConfig(ensemble_size=8, seed=SEED, mode=mode))
+        assert [record.index for record in report.records] == [0, 1, 2, 3]
+
+    def test_snapshot_served_run(self):
+        program = self._program()
+        config = RunConfig(ensemble_size=8, seed=SEED)
+        cold = check_program(program, config)
+        warm = StatisticalAssertionChecker(program, config)
+        assert warm.run().to_json() == cold.to_json()
+        assert warm.executor.gates_applied == 0
+        assert warm.executor.shared_prefix_gates_saved > 0
+
+    @pytest.mark.parametrize("mode", ["sample", "rerun"])
+    def test_partially_skipped_run(self, mode):
+        plan = build_execution_plan(self._program())
+        executor = BreakpointExecutor(RunConfig(ensemble_size=8, seed=SEED, mode=mode))
+        measured = executor.run_plan(plan, skip_indices={0, 2})
+        assert [item.breakpoint.index for item in measured] == [1, 3]
+
+    @pytest.mark.parametrize("backend", ["statevector", "auto"])
+    @pytest.mark.parametrize("mode", ["sample", "rerun"])
+    def test_observable_program(self, mode, backend):
+        program = Program("bell_observable")
+        q = program.qreg("q", 2)
+        program.h(q[0])
+        program.assert_superposition([q[0]], label="superposition")
+        program.cnot(q[0], q[1])
+        program.assert_observable(
+            q,
+            PauliSum([PauliString.from_label("ZZ"), PauliString.from_label("XX")]),
+            expectation=2.0,
+            tolerance=0.1,
+        )
+        config = RunConfig(ensemble_size=8, seed=SEED, mode=mode, backend=backend)
+        report = check_program(program, config)
+        assert [record.method for record in report.records] == ["sampled", "observable"]
+        assert report.passed
 
 
 class TestPlanStructure:

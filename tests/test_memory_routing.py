@@ -102,6 +102,23 @@ class TestExecutorRouting:
         assert "20-qubit dense budget" in plan.routing_note
         assert "routing:" in plan.describe()
 
+    @pytest.mark.parametrize("backend", ["auto", "hybrid"])
+    @pytest.mark.parametrize("mode", ["sample", "rerun"])
+    def test_clifford_plan_routes_to_tableau_in_every_mode(self, backend, mode):
+        """Both Clifford-aware spellings read the plan's Clifford metadata in
+        both modes, and every mode records the routing decision."""
+        config = RunConfig(
+            ensemble_size=4, seed=1, backend=backend, mode=mode, max_dense_qubits=8
+        )
+        executor = BreakpointExecutor(config)
+        plan = self._plan(12)
+        assert len(executor.run_plan(plan)) == plan.num_breakpoints
+        assert executor.statevector_gates_applied == 0
+        assert plan.routing_note == (
+            "12 qubits exceed the 8-qubit dense budget; running on "
+            "'stabilizer' (no dense allocation)"
+        )
+
     def test_within_budget_dense_request_runs(self, monkeypatch):
         monkeypatch.setenv(ENV_MAX_DENSE_QUBITS, "20")
         executor = BreakpointExecutor(

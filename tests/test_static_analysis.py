@@ -22,9 +22,11 @@ from repro.analysis import (
 )
 from repro.compiler.plan_cache import default_plan_cache
 from repro.core import RunConfig, Session
+from repro.core.checker import StatisticalAssertionChecker
 from repro.lang import Program
+from repro.observables.pauli import PauliString, PauliSum
 from repro.sim.noise import NoiseModel, ReadoutErrorModel, depolarizing
-from repro.workloads.clifford import CLIFFORD_SCENARIOS
+from repro.workloads.clifford import CLIFFORD_SCENARIOS, build_ghz_chain_program
 
 SEED = 20190622
 BACKENDS = ("statevector", "density", "stabilizer", "auto", "trajectory")
@@ -285,6 +287,37 @@ class TestStaticPreflight:
         stats = default_plan_cache().stats()
         assert stats["static_short_circuits"] == 1
         assert stats["static_gates_saved"] == plan.total_gates
+
+    @pytest.mark.parametrize("observable", [False, True])
+    def test_rerun_savings_equal_the_sampled_rerun_work(self, observable):
+        """Rerun re-simulates a plain prefix once per ensemble member and an
+        observable prefix once, so a full short-circuit saves exactly the
+        gates the sampled rerun applies (basis rotations are readout, not
+        prefix work)."""
+        program = build_ghz_chain_program(12)
+        if observable:
+            program = Program("observable_ghz")
+            q = program.qreg("q", 3)
+            program.h(q[0])
+            program.cnot(q[0], q[1])
+            program.cnot(q[1], q[2])
+            program.assert_observable(
+                q,
+                PauliSum([PauliString.from_label("ZZI"), PauliString.from_label("XXX")]),
+                expectation=2.0,
+            )
+        config = RunConfig(seed=SEED, ensemble_size=16, mode="rerun")
+        sampled = StatisticalAssertionChecker(program, config)
+        sampled.run()
+        default_plan_cache().clear()
+        static = StatisticalAssertionChecker(
+            program, config.replace(static_preflight=True)
+        )
+        report = static.run()
+        plan = static.execution_plan()
+        assert report.num_sampled == 0
+        assert static.executor.gates_applied == 0
+        assert plan.static_gates_saved == sampled.executor.gates_applied > 0
 
     def test_corpus_short_circuits_match_plain_verdicts(self):
         for scenario in CLIFFORD_SCENARIOS.values():
