@@ -11,7 +11,15 @@ only the amplitudes that the gate can change:
   subspace, multiplies them by the base matrix, and scatters them back;
 * 1-qubit gates use a strided-view fast path with no index arrays at all;
 * small multi-qubit gates use the same gather/scatter machinery with an
-  all-indices base set.
+  all-indices base set;
+* diagonal gates — every off-diagonal entry exactly zero, such as ``z``,
+  ``s``, ``t``, ``rz`` and the ``phase`` gates that make up most of the
+  arithmetic circuits — skip both: for each target value ``v`` whose
+  diagonal entry is not 1, the amplitudes with every control 1 and the
+  targets equal to ``v`` form one basic-indexed strided view of the state
+  reshaped to ``(2,) * n``, which is multiplied in place by that entry.
+  Every entry point routes such a gate there first, so the statevector,
+  density (both sides) and trajectory backends share the path.
 
 All kernels mutate ``data`` (the flat amplitude array) in place and return it.
 ``data[i]`` is the amplitude of basis state ``|i>`` with bit ``j`` of ``i``
@@ -166,6 +174,41 @@ def _gather_apply(
         data[base + offset] = columns[value]
 
 
+def _diagonal_of(matrix: np.ndarray) -> np.ndarray | None:
+    """The diagonal of ``matrix`` when every off-diagonal entry is exactly zero."""
+    diagonal = matrix.diagonal()
+    if np.count_nonzero(matrix) == np.count_nonzero(diagonal):
+        return diagonal
+    return None
+
+
+def _apply_diagonal(
+    data: np.ndarray,
+    num_qubits: int,
+    diagonal: np.ndarray,
+    controls: Sequence[int],
+    targets: Sequence[int],
+) -> None:
+    """Multiply, in place, each amplitude with every control 1 and the targets
+    equal to ``v`` by ``diagonal[v]``.
+
+    ``data`` is one flat state or a ``(B, 2**n)`` batch; either reshapes to
+    ``(B,) + (2,) * n`` with qubit ``q`` on axis ``n - q``.  Pinning 1 on each
+    control axis and ``v``'s bits on the target axes selects a strided view,
+    so the kernel needs no index arrays, and entries equal to 1 are skipped.
+    """
+    tensor = data.reshape((-1,) + (2,) * num_qubits)
+    index: list = [slice(None)] * (num_qubits + 1)
+    for qubit in controls:
+        index[num_qubits - qubit] = 1
+    for value, factor in enumerate(diagonal):
+        if factor == 1:
+            continue
+        for bit, qubit in enumerate(targets):
+            index[num_qubits - qubit] = (value >> bit) & 1
+        tensor[tuple(index)] *= factor
+
+
 def _apply_1q_inplace(data: np.ndarray, matrix: np.ndarray, qubit: int) -> None:
     """Strided-view fast path for single-qubit gates (no index arrays)."""
     view = data.reshape(-1, 2, 1 << qubit)
@@ -203,6 +246,10 @@ def apply_matrix_inplace(
     qubits: Sequence[int],
 ) -> np.ndarray:
     """Apply a ``2**k x 2**k`` unitary to ``qubits`` of the state in place."""
+    diagonal = _diagonal_of(matrix)
+    if diagonal is not None:
+        _apply_diagonal(data, num_qubits, diagonal, (), qubits)
+        return data
     k = len(qubits)
     if k == 1:
         _apply_1q_inplace(data, matrix, qubits[0])
@@ -273,6 +320,10 @@ def apply_matrix_batched(
     must be C-contiguous (the trajectory backend guarantees it); it is
     mutated in place and returned.
     """
+    diagonal = _diagonal_of(matrix)
+    if diagonal is not None:
+        _apply_diagonal(batch, num_qubits, diagonal, (), qubits)
+        return batch
     k = len(qubits)
     flat = batch.reshape(-1)
     if k == 1:
@@ -300,6 +351,10 @@ def apply_controlled_batched(
     """Batched index-masked controlled gate over a ``(B, 2**n)`` batch."""
     if not controls:
         return apply_matrix_batched(batch, num_qubits, matrix, targets)
+    diagonal = _diagonal_of(matrix)
+    if diagonal is not None:
+        _apply_diagonal(batch, num_qubits, diagonal, controls, targets)
+        return batch
     if len(targets) > _GATHER_MAX_TARGETS:  # pragma: no cover - unused width
         for member in batch:
             apply_controlled_inplace(member, num_qubits, matrix, controls, targets)
@@ -379,6 +434,10 @@ def apply_controlled_inplace(
     """
     if not controls:
         return apply_matrix_inplace(data, num_qubits, matrix, targets)
+    diagonal = _diagonal_of(matrix)
+    if diagonal is not None:
+        _apply_diagonal(data, num_qubits, diagonal, controls, targets)
+        return data
     if len(targets) > _GATHER_MAX_TARGETS:  # pragma: no cover - unused width
         from . import gates as _gates
 

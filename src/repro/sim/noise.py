@@ -163,9 +163,16 @@ class PauliChannelSampler:
     multiplying a member's running weight by the ratio of every sampled
     component keeps ensemble averages unbiased while rare error branches are
     visited often enough for finite-variance rate estimates.
+
+    ``identity_bound`` is the cumulative bound of the identity component
+    (0.0 when the mixture has none): a uniform below it samples the
+    identity, so an event whose uniforms all fall below it changes no
+    member's state.
     """
 
-    __slots__ = ("codes", "cumulative", "indices", "num_qubits", "ratios")
+    __slots__ = (
+        "codes", "cumulative", "identity_bound", "indices", "num_qubits", "ratios"
+    )
 
     def __init__(
         self,
@@ -195,6 +202,8 @@ class PauliChannelSampler:
         cumulative = np.cumsum(sampling)
         cumulative[-1] = 1.0  # guard accumulated rounding at the top end
         self.cumulative = cumulative
+        # Components are sorted by (x, z) mask, so the identity comes first.
+        self.identity_bound = 0.0 if self.codes[0].any() else float(cumulative[0])
 
     @property
     def is_biased(self) -> bool:

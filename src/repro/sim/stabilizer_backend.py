@@ -857,12 +857,15 @@ class StabilizerBackend(SimulationBackend):
         breakpoints over an ``n``-qubit rng-free walk costs O(k·n) object
         pointers plus one copy of each *distinct* column value — not
         O(k·n²) bytes.  Frame word arrays (when noise is live) are small
-        and genuinely mutable, so those are copied.
+        and genuinely mutable, so those are copied, and so are the member
+        weights when importance sampling is on.
         """
         tableau = self._require_tableau()
         token = tableau.snapshot_token()
         if self._frames is not None:
             token += (self._frames.x.copy(), self._frames.z.copy())
+        if self._weights is not None:
+            token += (self._weights.copy(),)
         return token
 
     def restore(self, token: object) -> "StabilizerBackend":
@@ -871,9 +874,11 @@ class StabilizerBackend(SimulationBackend):
             parts = tuple(token)
         except TypeError:
             raise ValueError("not a StabilizerBackend snapshot token") from None
-        if len(parts) not in (3, 5):
+        if len(parts) not in (3, 5, 6):
             raise ValueError("not a StabilizerBackend snapshot token")
-        if (len(parts) == 5) != (self._frames is not None):
+        if (len(parts) >= 5) != (self._frames is not None) or (
+            (len(parts) == 6) != (self._weights is not None)
+        ):
             raise ValueError(
                 "snapshot frame payload does not match the backend's noise "
                 "configuration"
@@ -895,7 +900,7 @@ class StabilizerBackend(SimulationBackend):
         tableau.restore_token(x_cols, z_cols, r)
         if self._frames is not None:
             frame_x, frame_z = (
-                np.asarray(part, dtype=np.uint64) for part in parts[3:]
+                np.asarray(part, dtype=np.uint64) for part in parts[3:5]
             )
             if frame_x.shape != self._frames.x.shape or (
                 frame_z.shape != self._frames.z.shape
@@ -903,6 +908,11 @@ class StabilizerBackend(SimulationBackend):
                 raise ValueError("snapshot does not match the frame batch shape")
             self._frames.x = frame_x.copy()
             self._frames.z = frame_z.copy()
+        if self._weights is not None:
+            weights = np.asarray(parts[5], dtype=float)
+            if weights.shape != self._weights.shape:
+                raise ValueError("snapshot does not match the frame batch shape")
+            self._weights = weights.copy()
         return self
 
     # -- evolution ------------------------------------------------------

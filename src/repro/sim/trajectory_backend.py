@@ -26,8 +26,10 @@ Each trajectory member owns an independent rng stream (spawned via
 uniform per member from that member's stream.  Trajectories are therefore
 reproducible under any batch split: member ``m`` sees the same Pauli record
 whether it runs in a batch of 1 or of 256, as long as it is handed the same
-child stream.  Readout sampling draws from the *caller's* rng (the executor
-stream), exactly like every other backend.
+child stream.  A gate's events are drawn together, one uniform per event in
+event order, as one ``(members, events)`` block from a :class:`StreamPool`.
+Readout sampling draws from the *caller's* rng (the executor stream),
+exactly like every other backend.
 """
 
 from __future__ import annotations
@@ -77,8 +79,10 @@ class StreamPool:
     ``Generator.random(block)`` yields the identical double sequence as
     repeated scalar ``random()`` calls, so buffering preserves the
     one-uniform-per-member-per-event contract exactly while collapsing the
-    per-event cost from one Python call per member to a vectorised gather
+    per-event cost from one Python call per member to a vectorised slice
     (refills touch a member only once per ``block`` of its own events).
+    While no masked draw has split the members they share one buffer
+    position, and a draw is a single column slice of the buffer.
     The hybrid backend shares one pool across its tableau and dense stages,
     which is what keeps a member's uniform sequence identical to a pure
     trajectory walk of the same streams.
@@ -92,21 +96,60 @@ class StreamPool:
         self._buffer = np.empty((count, self._BLOCK), dtype=float)
         # All positions start exhausted: members fill lazily on first draw.
         self._positions = np.full(count, self._BLOCK, dtype=np.int64)
+        self._lockstep = True
 
     def __len__(self) -> int:
         return len(self.streams)
 
-    def draw(self, members: np.ndarray | None = None) -> np.ndarray:
-        """One uniform per (selected) member, each from its own stream."""
+    def draw(self, members: np.ndarray | None = None, count: int = 1) -> np.ndarray:
+        """The next ``count`` uniforms of each (selected) member's own stream.
+
+        Returns shape ``(len(members), count)``: row ``i`` holds member
+        ``members[i]``'s values in stream order, exactly what ``count``
+        scalar ``random()`` calls on its stream would return.
+        """
         if members is None:
             members = np.arange(len(self.streams))
-        exhausted = members[self._positions[members] >= self._BLOCK]
-        for member in exhausted:
-            self._buffer[member] = self.streams[member].random(self._BLOCK)
-            self._positions[member] = 0
-        values = self._buffer[members, self._positions[members]]
-        self._positions[members] += 1
+            if self._lockstep:
+                values, end = self._read(members, int(self._positions[0]), count)
+                self._positions[:] = end
+                return values
+        positions = self._positions[members]
+        values = np.empty((len(members), count))
+        inside = positions + count <= self._BLOCK
+        rows = members[inside]
+        values[inside] = self._buffer[
+            rows[:, None], positions[inside, None] + np.arange(count)
+        ]
+        self._positions[rows] += count
+        for slot in np.flatnonzero(~inside):
+            member = members[slot : slot + 1]
+            values[slot], self._positions[member] = self._read(
+                member, int(positions[slot]), count
+            )
+        self._lockstep = bool((self._positions == self._positions[0]).all())
         return values
+
+    def _read(
+        self, rows: np.ndarray, start: int, count: int
+    ) -> "tuple[np.ndarray, int]":
+        """``count`` values for each of ``rows``, which share buffer position
+        ``start``, refilling the rows whenever their block runs out.
+
+        Returns the values and the rows' new position.
+        """
+        values = np.empty((len(rows), count))
+        filled = 0
+        while filled < count:
+            if start >= self._BLOCK:
+                for member in rows:
+                    self._buffer[member] = self.streams[member].random(self._BLOCK)
+                start = 0
+            take = min(count - filled, self._BLOCK - start)
+            values[:, filled : filled + take] = self._buffer[rows, start : start + take]
+            filled += take
+            start += take
+        return values, start
 
 
 def as_member_streams(
@@ -151,54 +194,56 @@ def iter_noise_events(
     two distinct qubits — on the first two touched qubits, consuming one
     uniform per member and yielding one per-qubit event per tensor factor.
 
+    The gate's ``k`` events are drawn as one ``(members, k)`` block, column
+    ``e`` holding event ``e``'s uniforms, so each member reads its stream in
+    event order exactly as ``k`` one-event draws would.  An event in which
+    every member's uniform falls below the identity bound yields nothing:
+    it would deliver the identity to every member.
+
     ``members`` optionally restricts the event to a boolean mask (per-member
     prep corrections): only masked members draw and receive a Pauli, so a
     member's stream consumption depends solely on its own history — the
     batch-split reproducibility invariant.
 
     ``weights``, when given, is the per-member likelihood-ratio accumulator
-    for importance-biased samplers: each biased event multiplies the drawing
-    members' entries **in place** by the sampled component's ratio.
+    for importance-biased samplers: each biased event, skipped ones
+    included, multiplies the drawing members' entries **in place** by the
+    sampled component's ratio.
     """
     if not samplers:
         return
     active = None
+    target = slice(None)
     if members is not None:
-        active = np.flatnonzero(members)
+        active = target = np.flatnonzero(members)
         if not active.size:
             return
-    seen: list[int] = []
-    for qubit in touched:
-        if qubit not in seen:
-            seen.append(qubit)
-
-    def _draw(sampler):
-        uniforms = pool.draw(active)
-        positions = sampler.sample_positions(uniforms)
-        if weights is not None and sampler.ratios is not None:
-            target = slice(None) if active is None else active
+    seen = list(dict.fromkeys(touched))
+    events = [(s, (qubit,)) for qubit in seen for s in samplers if s.num_qubits == 1]
+    if len(seen) >= 2:
+        events += [(s, tuple(seen[:2])) for s in samplers if s.num_qubits == 2]
+    if not events:
+        return
+    uniforms = pool.draw(active, len(events))
+    bounds = np.array([sampler.identity_bound for sampler, _ in events])
+    fired = (uniforms >= bounds).any(axis=0)
+    for column, (sampler, qubits) in enumerate(events):
+        biased = weights is not None and sampler.ratios is not None
+        if not fired[column]:
+            if biased:
+                weights[target] *= sampler.ratios[0]
+            continue
+        positions = sampler.sample_positions(uniforms[:, column])
+        if biased:
             weights[target] *= sampler.ratios[positions]
-        return positions
-
-    def _deliver(qubit, codes):
-        if active is None:
-            return qubit, codes
-        paulis = np.zeros(batch_size, dtype=np.int64)
-        paulis[active] = codes
-        return qubit, paulis
-
-    single = [s for s in samplers if s.num_qubits == 1]
-    double = [s for s in samplers if s.num_qubits == 2]
-    for qubit in seen:
-        for sampler in single:
-            positions = _draw(sampler)
-            yield _deliver(qubit, sampler.codes[positions, 0])
-    if double and len(seen) >= 2:
-        pair = seen[:2]
-        for sampler in double:
-            positions = _draw(sampler)
-            for slot, qubit in enumerate(pair):
-                yield _deliver(qubit, sampler.codes[positions, slot])
+        for slot, qubit in enumerate(qubits):
+            codes = sampler.codes[positions, slot]
+            if active is None:
+                yield qubit, codes
+            else:
+                paulis = np.zeros(batch_size, dtype=np.int64)
+                paulis[active] = codes
+                yield qubit, paulis
 
 
 class TrajectoryNoiseBackend(SimulationBackend):
@@ -360,15 +405,32 @@ class TrajectoryNoiseBackend(SimulationBackend):
     def set_readout_error(self, model: ReadoutErrorModel | None) -> None:
         self.readout_error = model or ReadoutErrorModel()
 
-    def snapshot(self) -> np.ndarray:
-        return self._require_batch().copy()
+    def snapshot(self) -> "np.ndarray | tuple[np.ndarray, np.ndarray]":
+        """The batch, paired with the member weights when they are live."""
+        batch = self._require_batch().copy()
+        if self._weights is None:
+            return batch
+        return batch, self._weights.copy()
 
     def restore(self, token: object) -> "TrajectoryNoiseBackend":
         batch = self._require_batch()
+        weights = None
+        if self._weights is not None:
+            try:
+                token, weights = token
+            except (TypeError, ValueError):
+                raise ValueError(
+                    "snapshot carries no member weights for this biased batch"
+                ) from None
+            weights = np.asarray(weights, dtype=float)
+            if weights.shape != self._weights.shape:
+                raise ValueError("snapshot does not match the current batch shape")
         data = np.asarray(token)
         if data.shape != batch.shape:
             raise ValueError("snapshot does not match the current batch shape")
         batch[:] = data
+        if weights is not None:
+            self._weights[:] = weights
         return self
 
     # -- evolution ------------------------------------------------------

@@ -194,6 +194,47 @@ class TestEndToEnd:
         assert np.std(boosted, ddof=1) < np.std(plain, ddof=1)
 
 
+class TestSnapshotRestoresWeights:
+    """``restore`` rolls the likelihood-ratio weights back with the state."""
+
+    @staticmethod
+    def _backend(name, noise):
+        from repro.sim import StabilizerBackend, TrajectoryNoiseBackend
+
+        cls = {"trajectory": TrajectoryNoiseBackend, "stabilizer": StabilizerBackend}
+        return cls[name](2, noise=noise, batch_size=4, seed=3)
+
+    @pytest.mark.parametrize("backend", ["trajectory", "stabilizer"])
+    def test_restore_rolls_back_weights(self, backend):
+        from repro.sim import gates
+
+        noise = NoiseModel(
+            gate_channels=(depolarizing(1e-3),), importance_boost=0.2
+        )
+        engine = self._backend(backend, noise)
+        engine.apply_matrix(gates.H, [0])
+        at_snapshot = engine.member_weights()
+        token = engine.snapshot()
+        engine.apply_matrix(gates.H, [1])
+        assert not np.array_equal(engine.member_weights(), at_snapshot)
+        engine.restore(token)
+        # One identity event at ratio (1 - 1e-3) / (1 - 0.2).
+        np.testing.assert_allclose(at_snapshot, 1.24875)
+        np.testing.assert_array_equal(engine.member_weights(), at_snapshot)
+
+    @pytest.mark.parametrize("backend", ["trajectory", "stabilizer"])
+    def test_unweighted_tokens_unchanged(self, backend):
+        from repro.sim import gates
+
+        engine = self._backend(backend, NoiseModel.from_channels([depolarizing(1e-3)]))
+        engine.apply_matrix(gates.H, [0])
+        token = engine.snapshot()
+        if backend == "trajectory":
+            assert isinstance(token, np.ndarray)
+        else:
+            assert len(token) == 5  # tableau columns, phase, frame words
+
+
 # ----------------------------------------------------------------------
 # Correlated two-qubit channels
 # ----------------------------------------------------------------------

@@ -1,0 +1,193 @@
+"""The diagonal-gate path of the shared gate kernels.
+
+Every gate whose matrix has exactly-zero off-diagonal entries is applied as
+in-place phase multiplies on strided views of the state.  These tests run
+every diagonal gate of :mod:`repro.sim.gates` (plus a random two-target
+diagonal), with 0, 1 and 2 controls at random qubit positions, through the
+four kernel entry points and the density backend, and check each result
+against the generic gather/scatter path.  The generic kernels are patched to
+raise while the entry points run, which proves diagonal gates never reach
+them; a matrix with one tiny but nonzero off-diagonal must still take the
+generic path.
+"""
+
+import numpy as np
+import pytest
+
+from repro.sim import DensityMatrixBackend, Statevector, gates
+from repro.sim import kernels
+from repro.sim.kernels import (
+    apply_controlled_batched,
+    apply_controlled_inplace,
+    apply_matrix_batched,
+    apply_matrix_inplace,
+)
+
+NUM_QUBITS = 5
+BATCH = 3
+SEED = 20190622
+
+#: The generic kernels, held before any test patches them.
+_GATHER_APPLY = kernels._gather_apply
+_SUBSPACE_INDICES = kernels._subspace_indices
+
+
+def _random_diagonal(rng, size):
+    return np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size)))
+
+
+def _diagonal_gates():
+    rng = np.random.default_rng(SEED)
+    return {
+        "z": gates.Z,
+        "s": gates.S,
+        "sdg": gates.SDG,
+        "t": gates.T,
+        "tdg": gates.TDG,
+        "rz": gates.rz(0.7),
+        "phase": gates.phase(1.3),
+        "p": gates.GATE_BUILDERS["p"](-0.4),
+        "u1": gates.GATE_BUILDERS["u1"](2.9),
+        "id": gates.I,
+        "cz": gates.CZ,
+        "random_2q": _random_diagonal(rng, 4),
+    }
+
+
+DIAGONAL_GATES = _diagonal_gates()
+
+
+def _case(name, num_controls):
+    """Random operand positions for one (gate, control count) case."""
+    rng = np.random.default_rng([SEED, len(name), num_controls, ord(name[0])])
+    matrix = DIAGONAL_GATES[name]
+    num_targets = matrix.shape[0].bit_length() - 1
+    qubits = rng.permutation(NUM_QUBITS)[: num_controls + num_targets]
+    controls = [int(q) for q in qubits[:num_controls]]
+    targets = [int(q) for q in qubits[num_controls:]]
+    return matrix, controls, targets
+
+
+def _random_states(count, seed=SEED):
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(count, 1 << NUM_QUBITS)) + 1j * rng.normal(
+        size=(count, 1 << NUM_QUBITS)
+    )
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+def _generic(state, matrix, controls, targets):
+    """The gather/scatter kernel applied to one flat state (a copy)."""
+    out = np.array(state, dtype=complex)
+    base = _SUBSPACE_INDICES(NUM_QUBITS, zero_bits=targets, one_bits=controls)
+    _GATHER_APPLY(out, matrix, targets, base)
+    return out
+
+
+@pytest.fixture
+def generic_kernels_raise(monkeypatch):
+    """Make every generic kernel raise: diagonal gates must not reach them."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a diagonal gate reached a generic kernel")
+
+    for name in ("_gather_apply", "_apply_1q_inplace", "_apply_dense_inplace"):
+        monkeypatch.setattr(kernels, name, forbidden)
+
+
+CASES = [
+    (name, num_controls)
+    for name in sorted(DIAGONAL_GATES)
+    for num_controls in (0, 1, 2)
+]
+
+
+@pytest.mark.parametrize("name,num_controls", CASES)
+class TestDiagonalPath:
+    def test_single_state_entry_points(self, name, num_controls, generic_kernels_raise):
+        matrix, controls, targets = _case(name, num_controls)
+        (state,) = _random_states(1)
+        expected = _generic(state, matrix, controls, targets)
+
+        controlled_out = state.copy()
+        apply_controlled_inplace(controlled_out, NUM_QUBITS, matrix, controls, targets)
+        np.testing.assert_allclose(controlled_out, expected, atol=1e-12)
+
+        # The full controlled matrix is diagonal too: the plain entry point
+        # takes it on ``controls + targets`` through the same path.
+        full_out = state.copy()
+        full = gates.controlled(matrix, num_controls=num_controls)
+        apply_matrix_inplace(full_out, NUM_QUBITS, full, controls + targets)
+        np.testing.assert_allclose(full_out, expected, atol=1e-12)
+
+    def test_batched_entry_points(self, name, num_controls, generic_kernels_raise):
+        matrix, controls, targets = _case(name, num_controls)
+        batch = _random_states(BATCH)
+        expected = np.stack(
+            [_generic(row, matrix, controls, targets) for row in batch]
+        )
+
+        controlled_out = batch.copy()
+        apply_controlled_batched(controlled_out, NUM_QUBITS, matrix, controls, targets)
+        np.testing.assert_allclose(controlled_out, expected, atol=1e-12)
+
+        full_out = batch.copy()
+        full = gates.controlled(matrix, num_controls=num_controls)
+        apply_matrix_batched(full_out, NUM_QUBITS, full, controls + targets)
+        np.testing.assert_allclose(full_out, expected, atol=1e-12)
+
+    def test_density_backend_two_sided(self, name, num_controls, generic_kernels_raise):
+        matrix, controls, targets = _case(name, num_controls)
+        (state,) = _random_states(1)
+        evolved = _generic(state, matrix, controls, targets)
+
+        backend = DensityMatrixBackend().initialize(
+            NUM_QUBITS, initial_state=Statevector(NUM_QUBITS, state)
+        )
+        backend.densify()
+        backend.apply_controlled(matrix, controls, targets)
+        rho = backend.to_density_matrix().data
+        np.testing.assert_allclose(rho, np.outer(evolved, evolved.conj()), atol=1e-12)
+
+
+class TestGenericPathKept:
+    def _near_diagonal(self):
+        matrix = gates.phase(0.9).copy()
+        matrix[0, 1] = 1e-300
+        return matrix
+
+    def test_tiny_off_diagonal_takes_the_gather_path(self, monkeypatch):
+        matrix = self._near_diagonal()
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return _GATHER_APPLY(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_gather_apply", spy)
+        batch = _random_states(BATCH)
+        expected = np.stack([_generic(row, matrix, [3], [1]) for row in batch])
+        apply_controlled_batched(batch, NUM_QUBITS, matrix, [3], [1])
+        assert len(calls) == 1
+        np.testing.assert_allclose(batch, expected, atol=1e-12)
+
+    def test_tiny_off_diagonal_takes_the_dense_1q_path(self, monkeypatch):
+        matrix = self._near_diagonal()
+        calls = []
+        dense_1q = kernels._apply_1q_inplace
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return dense_1q(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_apply_1q_inplace", spy)
+        (state,) = _random_states(1)
+        expected = _generic(state, matrix, [], [2])
+        apply_matrix_inplace(state, NUM_QUBITS, matrix, [2])
+        assert len(calls) == 1
+        np.testing.assert_allclose(state, expected, atol=1e-12)
+
+    def test_patched_kernels_catch_non_diagonal_gates(self, generic_kernels_raise):
+        (state,) = _random_states(1)
+        with pytest.raises(AssertionError, match="generic kernel"):
+            apply_matrix_inplace(state, NUM_QUBITS, gates.H, [0])

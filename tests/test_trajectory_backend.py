@@ -50,6 +50,7 @@ from repro.sim.kernels import (
     apply_pauli_batched,
     pauli_mask_kernel,
 )
+from repro.sim.noise import two_qubit_depolarizing
 from repro.workloads import build_shor_noise_workload, gate_noise_sweep
 
 SEED = 20190622
@@ -766,7 +767,7 @@ class TestExecutorRouting:
 
         pool = StreamPool(spawn_trajectory_streams(5, 3))
         reference = spawn_trajectory_streams(5, 3)
-        drawn = np.stack([pool.draw() for _ in range(300)], axis=1)
+        drawn = np.concatenate([pool.draw() for _ in range(300)], axis=1)
         for member, stream in enumerate(reference):
             np.testing.assert_array_equal(drawn[member], stream.random(300))
 
@@ -780,6 +781,150 @@ class TestExecutorRouting:
         assert first[0] == reference[1].random()
         assert both[0] == reference[0].random()
         assert both[1] == reference[1].random()
+
+
+# ---------------------------------------------------------------------------
+# RNG-stream contract of the per-gate draw
+# ---------------------------------------------------------------------------
+
+
+def _per_event_reference(samplers, touched, streams, batch_size, members, weights):
+    """The one-draw-per-event sampling loop, with scalar per-member draws.
+
+    A test-local copy of the contract the per-gate block draw must keep:
+    events in (touched qubit, 1-qubit channel) order, then the 2-qubit
+    channels on the first two touched qubits; one ``random()`` per active
+    member per event; every biased event multiplies the active members'
+    weights by the sampled component's ratio.
+    """
+    active = np.arange(batch_size) if members is None else np.flatnonzero(members)
+    seen = list(dict.fromkeys(touched))
+    events = [(s, (q,)) for q in seen for s in samplers if s.num_qubits == 1]
+    if len(seen) >= 2:
+        events += [(s, tuple(seen[:2])) for s in samplers if s.num_qubits == 2]
+    delivered = []
+    for sampler, qubits in events:
+        if not active.size:
+            break
+        uniforms = np.array([streams[m].random() for m in active])
+        positions = sampler.sample_positions(uniforms)
+        if weights is not None and sampler.ratios is not None:
+            weights[active] *= sampler.ratios[positions]
+        for slot, qubit in enumerate(qubits):
+            paulis = np.zeros(batch_size, dtype=np.int64)
+            paulis[active] = sampler.codes[positions, slot]
+            delivered.append((qubit, paulis))
+    return delivered
+
+
+def _pauli_record(events, batch_size):
+    """Per member: the (qubit, Pauli) of every non-identity hit, in order."""
+    record = [[] for _ in range(batch_size)]
+    for qubit, paulis in events:
+        for member in np.flatnonzero(paulis):
+            record[member].append((qubit, int(paulis[member])))
+    return record
+
+
+#: A gate sequence: touched qubits and an optional prep-correction mask key.
+_GATES = [((0,), None), ((1, 2), None), ((0, 1, 2), None), ((3,), "mask"),
+          ((2, 3), None), ((1,), "mask"), ((0, 3, 1), None)] * 12
+
+
+class TestPerGateDraw:
+    def test_block_draws_match_scalar_calls_across_block_boundaries(self):
+        from repro.sim.trajectory_backend import StreamPool
+
+        pool = StreamPool(spawn_trajectory_streams(5, 3))
+        reference = spawn_trajectory_streams(5, 3)
+        counts = [1, 3, 7, 250, 5, 1, 300, 2, 256, 4]
+        drawn = np.concatenate([pool.draw(count=k) for k in counts], axis=1)
+        for member, stream in enumerate(reference):
+            expected = [stream.random() for _ in range(sum(counts))]
+            np.testing.assert_array_equal(drawn[member], expected)
+
+    def test_masked_draws_interleaved_keep_each_stream(self):
+        from repro.sim.trajectory_backend import StreamPool
+
+        pool = StreamPool(spawn_trajectory_streams(9, 4))
+        reference = spawn_trajectory_streams(9, 4)
+        split = [
+            (None, 3), (np.array([1]), 2), (None, 200), (np.array([0, 3]), 5),
+            (None, 60), (np.array([2]), 1), (None, 7),
+        ]
+        # Members 1 and 2 catch up with 0 and 3 (275 draws each).
+        rejoin = [(np.array([1, 2]), 3), (np.array([2]), 1)]
+        lockstep = [(None, 300), (None, 3)]
+
+        def check(schedule):
+            for members, count in schedule:
+                values = pool.draw(members, count)
+                rows = range(4) if members is None else members
+                for row, member in zip(values, rows):
+                    expected = [reference[member].random() for _ in range(count)]
+                    np.testing.assert_array_equal(row, expected)
+
+        check(split)
+        assert not pool._lockstep
+        check(rejoin)
+        assert pool._lockstep  # the shared-position path serves the rest
+        check(lockstep)
+
+    def test_pauli_record_is_independent_of_batch_size(self):
+        from repro.sim.trajectory_backend import StreamPool, iter_noise_events
+
+        samplers = (
+            PauliChannelSampler(depolarizing(0.05).pauli_decomposition()),
+            PauliChannelSampler(
+                two_qubit_depolarizing(0.05).pauli_decomposition()
+            ),
+        )
+        batch = 16
+        masks = np.random.default_rng(SEED).random((len(_GATES), batch)) < 0.3
+
+        def walk(pool, size, member_slice):
+            events = []
+            for index, (touched, mask) in enumerate(_GATES):
+                members = None if mask is None else masks[index, member_slice]
+                events += list(
+                    iter_noise_events(samplers, touched, pool, size, members)
+                )
+            return _pauli_record(events, size)
+
+        together = walk(StreamPool(spawn_trajectory_streams(SEED, batch)), batch,
+                        slice(None))
+        assert sum(map(len, together)) > 0
+        for member in range(batch):
+            alone_stream = spawn_trajectory_streams(SEED, batch)[member]
+            (alone,) = walk(StreamPool([alone_stream]), 1,
+                            slice(member, member + 1))
+            assert alone == together[member]
+
+    def test_importance_weights_match_the_per_event_loop(self):
+        from repro.sim.trajectory_backend import StreamPool, iter_noise_events
+
+        samplers = tuple(
+            PauliChannelSampler(channel.pauli_decomposition(), importance_boost=0.1)
+            for channel in (depolarizing(1e-3), two_qubit_depolarizing(1e-3))
+        )
+        assert all(sampler.is_biased for sampler in samplers)
+        batch = 8
+        masks = np.random.default_rng(SEED).random((len(_GATES), batch)) < 0.3
+        pool = StreamPool(spawn_trajectory_streams(SEED, batch))
+        streams = spawn_trajectory_streams(SEED, batch)
+        weights = np.ones(batch)
+        expected_weights = np.ones(batch)
+        for index, (touched, mask) in enumerate(_GATES):
+            members = None if mask is None else masks[index]
+            got = list(
+                iter_noise_events(samplers, touched, pool, batch, members, weights)
+            )
+            expected = _per_event_reference(
+                samplers, touched, streams, batch, members, expected_weights
+            )
+            assert _pauli_record(got, batch) == _pauli_record(expected, batch)
+            np.testing.assert_array_equal(weights, expected_weights)
+        assert not np.all(weights == 1.0)
 
 
 # ---------------------------------------------------------------------------
