@@ -9,9 +9,11 @@ the config's seed through one ``SeedSequence``, and the reports come back in
 point order.  Running with 1 worker or 8 produces byte-identical reports;
 worker count is pure mechanism.
 
-Inside each worker the plan cache does the other half of the work: every
-point of a sweep shares one compiled execution plan, so the program is split
-and Clifford-classified once per process, not once per point.
+Each point runs as a job of a short-lived ``LocalService`` — one fresh
+worker process per point — so each point splits and Clifford-classifies
+its own plan.  On a 2-core Xeon host that compile takes about 11 ms for
+the 13-qubit Shor plan, against about 0.5 s for the point's noisy
+checking run.
 
 Run with:  python examples/sharded_noise_sweep.py
 """

@@ -220,24 +220,35 @@ class StatisticalAssertionChecker:
         """The full statically decided report, or ``None``.
 
         Succeeds exactly when the static pre-flight applies
-        (``config.static_preflight`` on a noise-free, ideal-readout run) and
-        the abstract interpreter decides *every* breakpoint — the case where
-        a checking run costs one cached analysis and no simulation at all.
-        :mod:`repro.service` uses this to answer decidable jobs inline even
-        when its worker pool is saturated or down.
+        (``config.static_preflight`` on a noise-free, ideal-readout run that
+        does not ``converge``) and the abstract interpreter decides *every*
+        breakpoint — the case where a checking run costs one cached analysis
+        and no simulation at all, and :func:`check_program` would return the
+        same report.  :mod:`repro.service` uses this to answer decidable
+        jobs inline even when its worker pool is saturated or down.
         """
+        if self.config.converge:
+            return None
         plan = self.execution_plan()
-        if not plan.segments:
-            return None
         decided, analysis = self._static_preflight(plan)
-        if len(decided) != plan.num_breakpoints:
+        if not decided or len(decided) != plan.num_breakpoints:
             return None
+        return self._static_report(plan, decided, analysis)
+
+    def _new_report(self, analysis) -> DebugReport:
+        """An empty report carrying the pre-flight's lint diagnostics."""
         report = DebugReport(
             program_name=self.program.name,
             ensemble_size=self.ensemble_size,
             significance=self.significance,
         )
-        report.diagnostics = [d.to_dict() for d in analysis.diagnostics]
+        if analysis is not None:
+            report.diagnostics = [d.to_dict() for d in analysis.diagnostics]
+        return report
+
+    def _static_report(self, plan, decided, analysis) -> DebugReport:
+        """The report of a run whose every breakpoint decided statically."""
+        report = self._new_report(analysis)
         for segment in plan.segments:
             report.add(self._static_record(segment, decided[segment.index]))
         self._record_static_savings(plan, decided, full=True)
@@ -303,19 +314,10 @@ class StatisticalAssertionChecker:
         """
         plan = self.execution_plan()
         decided, analysis = self._static_preflight(plan)
-        report = DebugReport(
-            program_name=self.program.name,
-            ensemble_size=self.ensemble_size,
-            significance=self.significance,
-        )
-        if analysis is not None:
-            report.diagnostics = [d.to_dict() for d in analysis.diagnostics]
         if decided and len(decided) == plan.num_breakpoints:
             # Full short-circuit: no walk, no snapshots, no samples.
-            for segment in plan.segments:
-                report.add(self._static_record(segment, decided[segment.index]))
-            self._record_static_savings(plan, decided, full=True)
-            return report
+            return self._static_report(plan, decided, analysis)
+        report = self._new_report(analysis)
         if decided:
             self._record_static_savings(plan, decided, full=False)
         for measurements in self.executor.run_plan(

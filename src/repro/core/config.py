@@ -179,11 +179,12 @@ class RunConfig:
         ``max_batches`` walks have run).
     shard / max_workers:
         Sweep sharding policy: with ``shard=True`` the repeated-trial
-        workload helpers (:mod:`repro.workloads`) distribute their checking
-        runs across ``max_workers`` processes (``None`` = one per CPU core)
-        via :mod:`repro.workloads.sharding`.  Per-point seeds are spawned
-        from one ``SeedSequence`` and results merge in deterministic point
-        order, so a sharded sweep is verdict-identical to the serial run.
+        workload helpers (:mod:`repro.workloads`) run their checking runs
+        as jobs of a :class:`~repro.service.LocalService` with
+        ``max_workers`` worker slots (``None`` = one per CPU core), via
+        :mod:`repro.workloads.sharding`.  Per-point seeds are spawned from
+        one ``SeedSequence`` and results merge in deterministic point
+        order, so a sharded sweep is byte-identical to the serial run.
     static_preflight:
         With ``static_preflight=True`` the checker first asks the stabilizer
         abstract interpreter (:mod:`repro.analysis`) to decide each
@@ -225,8 +226,8 @@ class RunConfig:
         setting per term, which is the ungrouped baseline the benchmark
         compares against.
     job_timeout / max_retries / backoff_base:
-        Job-execution policy for :mod:`repro.service` (and the shared
-        crash-recovery path of :mod:`repro.workloads.sharding`):
+        Job-execution policy for :mod:`repro.service`, and so for every
+        point of a sharded sweep (:mod:`repro.workloads.sharding`):
         ``job_timeout`` is the per-job wall-clock budget in seconds before
         the worker subprocess is killed and the job lands in the ``TIMEOUT``
         state (``None`` = no timeout); ``max_retries`` bounds how many times

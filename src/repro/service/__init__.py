@@ -19,8 +19,8 @@ HTTP front (:func:`serve_http`).  See ``docs/architecture.md`` → "Job
 service".
 
 The package imports lazily so that lower layers (``repro.workloads``
-shares the :class:`RetryPolicy`) can import individual submodules without
-pulling the whole service stack.
+runs sharded sweep points as :class:`LocalService` jobs) can import
+individual submodules without pulling the whole service stack.
 """
 
 from __future__ import annotations

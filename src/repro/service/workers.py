@@ -19,8 +19,10 @@ parent-side deadline that expires first is classified ``timeout`` (the
 child is SIGKILLed).
 
 :class:`RetryPolicy` — exponential backoff with deterministic jitter — is
-shared verbatim with :mod:`repro.workloads.sharding`, so sharded sweeps and
-the job service recover from crashed workers through the same code path.
+the retry schedule :class:`~repro.service.jobs.LocalService` applies to
+crashed attempts.  Sharded sweeps (:mod:`repro.workloads.sharding`) run
+their points as service jobs, so this module is the repo's only process
+boundary.
 """
 
 from __future__ import annotations

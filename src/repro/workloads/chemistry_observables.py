@@ -42,7 +42,7 @@ from ..core.config import RunConfig
 from ..core.session import Session
 from ..lang.program import Program
 from ..observables.pauli import PauliString, PauliSum
-from .ensembles import _session_for
+from .ensembles import _rate_row, _session_for
 
 __all__ = [
     "h2_hamiltonian",
@@ -292,16 +292,11 @@ def observable_detection_sweep(
     for name in names or observable_scenario_names():
         scenario = get_observable_scenario(name)
         rows.append(
-            {
-                "scenario": name,
-                "clifford": scenario.clifford,
-                "ensemble_size": base.config.ensemble_size,
-                "detection_rate": base.detection_rate(
-                    scenario.build_buggy, trials
-                ),
-                "false_positive_rate": base.false_positive_rate(
-                    scenario.build_correct, trials
-                ),
-            }
+            _rate_row(
+                base, scenario.build_buggy, scenario.build_correct, trials,
+                scenario=name,
+                clifford=scenario.clifford,
+                ensemble_size=base.config.ensemble_size,
+            )
         )
     return rows

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from ..core.config import RunConfig
 from ..core.session import Session
 from ..lang.program import Program
-from .ensembles import _session_for
+from .ensembles import _rate_row, _session_for
 
 __all__ = [
     "build_ghz_chain_program",
@@ -280,18 +280,16 @@ def clifford_detection_sweep(
         scenario = get_clifford_scenario(name)
         for width in widths:
             rows.append(
-                {
-                    "scenario": name,
+                _rate_row(
+                    base,
+                    lambda: scenario.build_buggy(width),
+                    lambda: scenario.build_correct(width),
+                    trials,
+                    scenario=name,
                     # Builders round the requested width to their register
                     # layout; record what was actually built.
-                    "num_qubits": scenario.build_correct(width).num_qubits,
-                    "ensemble_size": base.config.ensemble_size,
-                    "detection_rate": base.detection_rate(
-                        lambda: scenario.build_buggy(width), trials
-                    ),
-                    "false_positive_rate": base.false_positive_rate(
-                        lambda: scenario.build_correct(width), trials
-                    ),
-                }
+                    num_qubits=scenario.build_correct(width).num_qubits,
+                    ensemble_size=base.config.ensemble_size,
+                )
             )
     return rows

@@ -102,23 +102,24 @@ def _repeat_checks(
     program builders resample each run (a builder built once and reused
     would silently freeze its random draws across the whole experiment).
 
-    With ``config.shard`` the trials run as self-contained points across a
-    process pool (:mod:`repro.workloads.sharding`): one root draw from the
-    session stream spawns every per-trial seed, so a seeded sharded
+    With ``config.shard`` the trials run as self-contained points through
+    :func:`repro.workloads.sharding.run_sharded_points`, one
+    :class:`~repro.service.jobs.LocalService` job each: one root draw from
+    the session stream spawns every per-trial seed, so a seeded sharded
     experiment is pinned end to end and identical for any worker count.
     """
     config = session.config
     if config.shard and trials > 1:
-        from .sharding import run_sharded_points, spawn_point_seeds
+        from .sharding import run_sharded_points, sweep_point_configs
 
         # One draw from the session stream roots every trial seed: the
         # session stays the single entropy source, exactly as in the serial
         # path, and the spawned children are independent of worker count.
         root = int(session.rng.integers(0, np.iinfo(np.int64).max))
-        points = []
-        for seed in spawn_point_seeds(root, trials):
-            program = build_program() if callable(build_program) else build_program
-            points.append((program, config.replace(seed=seed, shard=False)))
+        points = [
+            (build_program() if callable(build_program) else build_program, point)
+            for point in sweep_point_configs(config, [{}] * trials, root_seed=root)
+        ]
         reports = run_sharded_points(points, config.max_workers)
         return DetectionResult(
             program_name=points[-1][0].name,
@@ -140,6 +141,29 @@ def _repeat_checks(
         trials=trials,
         num_failing_runs=failing,
     )
+
+
+def _rate_row(
+    point: Session,
+    build_buggy_program: "Callable[[], Program] | Program",
+    build_correct_program: "Callable[[], Program] | Program",
+    trials: int,
+    /,
+    **labels,
+) -> dict:
+    """One detection-sweep row: the ``labels`` fields, then both rates.
+
+    The caller's label fields are evaluated first; the detection rate then
+    draws from the point's stream before the false-positive rate, the one
+    order every seeded sweep's rows depend on.
+    """
+    return {
+        **labels,
+        "detection_rate": point.detection_rate(build_buggy_program, trials),
+        "false_positive_rate": point.false_positive_rate(
+            build_correct_program, trials
+        ),
+    }
 
 
 def detection_rate(
@@ -177,21 +201,14 @@ def ensemble_size_sweep(
 ) -> list[dict]:
     """Detection rate and false-positive rate as functions of the ensemble size."""
     base = _session_for("ensemble_size_sweep", config, session)
-    rows = []
-    for size in sizes:
-        point = base._derive(ensemble_size=size)
-        rows.append(
-            {
-                "ensemble_size": size,
-                "detection_rate": point.detection_rate(
-                    build_buggy_program, trials
-                ),
-                "false_positive_rate": point.false_positive_rate(
-                    build_correct_program, trials
-                ),
-            }
+    return [
+        _rate_row(
+            base._derive(ensemble_size=size),
+            build_buggy_program, build_correct_program, trials,
+            ensemble_size=size,
         )
-    return rows
+        for size in sizes
+    ]
 
 
 def significance_sweep(
@@ -205,21 +222,14 @@ def significance_sweep(
 ) -> list[dict]:
     """Detection/false-positive trade-off as the significance level varies."""
     base = _session_for("significance_sweep", config, session)
-    rows = []
-    for significance_level in significances:
-        point = base._derive(significance=significance_level)
-        rows.append(
-            {
-                "significance": significance_level,
-                "detection_rate": point.detection_rate(
-                    build_buggy_program, trials
-                ),
-                "false_positive_rate": point.false_positive_rate(
-                    build_correct_program, trials
-                ),
-            }
+    return [
+        _rate_row(
+            base._derive(significance=significance_level),
+            build_buggy_program, build_correct_program, trials,
+            significance=significance_level,
         )
-    return rows
+        for significance_level in significances
+    ]
 
 
 def readout_error_sweep(
@@ -242,23 +252,16 @@ def readout_error_sweep(
     base = _session_for(
         "readout_error_sweep", config, session, default_backend="density"
     )
-    rows = []
-    for rate in error_rates:
-        point = base._derive(
-            readout_error=ReadoutErrorModel(p01=float(rate), p10=float(rate))
+    return [
+        _rate_row(
+            base._derive(
+                readout_error=ReadoutErrorModel(p01=float(rate), p10=float(rate))
+            ),
+            build_buggy_program, build_correct_program, trials,
+            readout_error=float(rate),
         )
-        rows.append(
-            {
-                "readout_error": float(rate),
-                "detection_rate": point.detection_rate(
-                    build_buggy_program, trials
-                ),
-                "false_positive_rate": point.false_positive_rate(
-                    build_correct_program, trials
-                ),
-            }
-        )
-    return rows
+        for rate in error_rates
+    ]
 
 
 def noise_model_for_rate(
@@ -295,22 +298,15 @@ def gate_noise_sweep(
     base = _session_for(
         "gate_noise_sweep", config, session, default_backend="trajectory"
     )
-    rows = []
-    for rate in error_rates:
-        point = base._derive(noise=noise_model_for_rate(channel, rate))
-        rows.append(
-            {
-                "gate_error": float(rate),
-                "channel": channel(float(rate)).name,
-                "detection_rate": point.detection_rate(
-                    build_buggy_program, trials
-                ),
-                "false_positive_rate": point.false_positive_rate(
-                    build_correct_program, trials
-                ),
-            }
+    return [
+        _rate_row(
+            base._derive(noise=noise_model_for_rate(channel, rate)),
+            build_buggy_program, build_correct_program, trials,
+            gate_error=float(rate),
+            channel=channel(float(rate)).name,
         )
-    return rows
+        for rate in error_rates
+    ]
 
 
 def assertion_cost(

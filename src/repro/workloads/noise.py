@@ -23,7 +23,7 @@ from ..core.session import Session
 from ..lang.program import Program
 from ..sim.noise import KrausChannel, depolarizing
 from .clifford import get_clifford_scenario
-from .ensembles import _session_for, noise_model_for_rate
+from .ensembles import _rate_row, _session_for, noise_model_for_rate
 
 __all__ = [
     "build_shor_noise_workload",
@@ -68,24 +68,19 @@ def shor_gate_noise_sweep(
     base = _session_for(
         "shor_gate_noise_sweep", config, session, default_backend="trajectory"
     )
-    rows = []
-    for rate in error_rates:
-        point = base._derive(noise=noise_model_for_rate(channel, rate))
-        rows.append(
-            {
-                "workload": "shor_13q_breakpoints",
-                "num_qubits": 13,
-                "gate_error": float(rate),
-                "ensemble_size": point.config.ensemble_size,
-                "detection_rate": point.detection_rate(
-                    lambda: build_shor_noise_workload(buggy=True), trials
-                ),
-                "false_positive_rate": point.false_positive_rate(
-                    lambda: build_shor_noise_workload(buggy=False), trials
-                ),
-            }
+    return [
+        _rate_row(
+            base._derive(noise=noise_model_for_rate(channel, rate)),
+            lambda: build_shor_noise_workload(buggy=True),
+            lambda: build_shor_noise_workload(buggy=False),
+            trials,
+            workload="shor_13q_breakpoints",
+            num_qubits=13,
+            gate_error=float(rate),
+            ensemble_size=base.config.ensemble_size,
         )
-    return rows
+        for rate in error_rates
+    ]
 
 
 def clifford_gate_noise_sweep(
@@ -110,22 +105,17 @@ def clifford_gate_noise_sweep(
         default_backend="stabilizer", sweep_defaults={"ensemble_size": 32},
     )
     spec = get_clifford_scenario(scenario)
-    rows = []
-    for width in widths:
-        for rate in error_rates:
-            point = base._derive(noise=noise_model_for_rate(channel, rate))
-            rows.append(
-                {
-                    "scenario": scenario,
-                    "num_qubits": spec.build_correct(width).num_qubits,
-                    "gate_error": float(rate),
-                    "ensemble_size": point.config.ensemble_size,
-                    "detection_rate": point.detection_rate(
-                        lambda: spec.build_buggy(width), trials
-                    ),
-                    "false_positive_rate": point.false_positive_rate(
-                        lambda: spec.build_correct(width), trials
-                    ),
-                }
-            )
-    return rows
+    return [
+        _rate_row(
+            base._derive(noise=noise_model_for_rate(channel, rate)),
+            lambda: spec.build_buggy(width),
+            lambda: spec.build_correct(width),
+            trials,
+            scenario=scenario,
+            num_qubits=spec.build_correct(width).num_qubits,
+            gate_error=float(rate),
+            ensemble_size=base.config.ensemble_size,
+        )
+        for width in widths
+        for rate in error_rates
+    ]

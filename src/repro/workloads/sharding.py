@@ -1,39 +1,37 @@
 """Process-sharded sweep execution with deterministic seed spawning.
 
 A sweep is an embarrassingly parallel list of checking runs; this module
-shards them across a ``concurrent.futures.ProcessPoolExecutor`` without
-giving up the repo's determinism guarantees:
+shards them across worker processes without giving up the repo's
+determinism guarantees:
 
 * **per-point seeds** are spawned from a single ``numpy.random.SeedSequence``
   (the same discipline the trajectory engine uses for per-member streams),
   so each point owns a statistically independent, fully pinned stream no
   matter which worker runs it;
 * **points are self-contained** — a :class:`~repro.lang.program.Program`
-  plus a JSON-serialised :class:`~repro.core.config.RunConfig` cross the
-  process boundary, and each worker runs the ordinary
-  :func:`~repro.core.checker.check_program` path (plan cache included: every
-  worker process keeps its own cache, so repeated points still compile
-  once per worker);
-* **results merge in point order** (``ProcessPoolExecutor.map`` preserves
-  input order), so a sharded sweep returns byte-identical reports to the
-  ``max_workers=1`` in-process run of the same points.
+  plus a :class:`~repro.core.config.RunConfig` — and run as jobs of a
+  :class:`~repro.service.jobs.LocalService`, the repo's one process
+  boundary: every point is a fresh subprocess attempt running the ordinary
+  :func:`~repro.core.checker.check_program` path, under the point's own
+  ``job_timeout`` and crash-retry budget and the service's
+  ``REPRO_FAULT_SPEC`` harness (keyed by point index);
+* **results merge in point order**, so a sharded sweep returns
+  byte-identical reports to the ``max_workers=1`` in-process run of the
+  same points.
 
 The knobs are spelled in :class:`~repro.core.config.RunConfig`:
 ``shard=True`` routes the repeated-trial helpers in
 :mod:`repro.workloads.ensembles` through :func:`run_sharded_points`, and
-``max_workers`` caps the pool (``None`` = one worker per CPU core).
-Only registry-name backends shard — a backend instance or factory is live
-process state that cannot cross the boundary, and raises the usual
-serialization ``TypeError``.
+``max_workers`` caps the concurrent workers (``None`` = one per CPU core).
+Each point compiles its plan in its own worker.  Only registry-name
+backends shard — a backend instance or factory is live process state that
+cannot cross the boundary, and raises the usual serialization
+``TypeError``.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,8 +40,7 @@ from ..core.checker import check_program
 from ..core.config import RunConfig
 from ..core.report import DebugReport
 from ..lang.program import Program
-from ..service.faults import FaultInjector
-from ..service.workers import RetryPolicy
+from ..service.jobs import JobState, LocalService
 
 __all__ = [
     "available_workers",
@@ -111,110 +108,49 @@ def sweep_point_configs(
     ]
 
 
-def _check_point(payload: tuple) -> str:
-    """Worker body: run one self-contained checking point.
-
-    Module-level (picklable) on purpose; the payload is a pickled program
-    plus a JSON config, and the result is the report's JSON text — plain
-    bytes/str in both directions keeps the process boundary transparent.
-    Pool payloads additionally carry ``(point_index, attempt)``, the
-    coordinates the :mod:`repro.service.faults` chaos harness fires on
-    (gated by ``REPRO_FAULT_SPEC``; the in-process path never passes them,
-    so an injected crash can only ever kill a pool worker).
-    """
-    program_bytes, config_json, *fault_coords = payload
-    if fault_coords:
-        FaultInjector.from_env().fire(fault_coords[0], fault_coords[1])
-    program = pickle.loads(program_bytes)
-    report = check_program(program, RunConfig.from_json(config_json))
-    return report.to_json()
-
-
 def run_sharded_points(
     points: "Sequence[tuple[Program, RunConfig]]",
     max_workers: int | None = None,
-    *,
-    retry: "RetryPolicy | None" = None,
 ) -> list[DebugReport]:
-    """Check every ``(program, config)`` point, sharded across processes.
+    """Check every ``(program, config)`` point; reports in point order.
 
-    Results come back in point order regardless of worker scheduling.  With
-    one effective worker (or one point) the same payloads run in-process —
-    the code path is otherwise identical, which is what makes
-    ``max_workers=1`` vs ``max_workers=N`` runs byte-identical: every point
-    is seeded by its own config, not by shared session state.
+    The points run as jobs of a short-lived
+    :class:`~repro.service.jobs.LocalService` with ``max_workers`` slots,
+    each under its own config's ``job_timeout`` and crash-retry budget
+    (``max_retries``/``backoff_base``).  Points whose jobs end without a
+    report raise one ``RuntimeError`` naming each lost point with its
+    terminal state and last failure detail.
 
-    **Crash recovery.**  A worker killed mid-point (OOM, SIGKILL, an
-    injected chaos fault) breaks the whole ``ProcessPoolExecutor``; instead
-    of surfacing ``BrokenProcessPool`` and losing the sweep, the finished
-    points are kept, a fresh pool is spun up, and only the unfinished
-    points are resubmitted — the same bounded retry/backoff policy the job
-    service applies to crashed workers (``retry`` defaults to the first
-    point's ``max_retries``/``backoff_base``).  Each resubmission is the
-    identical seeded payload, so a recovered sweep is byte-identical to an
-    uninterrupted one.  Points whose crashes exhaust
-    the budget raise a ``RuntimeError`` naming them.
+    With one effective worker (or one point) the points run in-process,
+    each config still round-tripped through JSON (the registry-name gate);
+    this path never fires ``REPRO_FAULT_SPEC``.  Every point is seeded by
+    its own config, so ``max_workers=1`` and ``max_workers=N`` runs are
+    byte-identical.
     """
     workers = available_workers(max_workers)
     if workers <= 1 or len(points) <= 1:
-        texts = [
-            _check_point((pickle.dumps(program), config.to_json()))
+        return [
+            check_program(program, RunConfig.from_json(config.to_json()))
             for program, config in points
         ]
-        return [DebugReport.from_json(text) for text in texts]
-
-    if retry is None:
-        first = points[0][1]
-        retry = RetryPolicy(
-            max_retries=first.max_retries, backoff_base=first.backoff_base
+    with LocalService(max_workers=workers) as service:
+        ids = [service.submit(program, config) for program, config in points]
+        jobs = service.wait_all(ids)
+    lost = [
+        (index, job)
+        for index, job in enumerate(jobs)
+        if job.state not in JobState.WITH_REPORT
+    ]
+    if lost:
+        raise RuntimeError(
+            f"sweep points {[index for index, _ in lost]} were lost: "
+            + "; ".join(
+                f"point {index} {job.state} after {job.attempts} attempt(s): "
+                f"{job.failure_chain[-1]['detail']}"
+                for index, job in lost
+            )
         )
-    payloads = {
-        index: (pickle.dumps(program), config.to_json())
-        for index, (program, config) in enumerate(points)
-    }
-    attempts = {index: 0 for index in payloads}
-    results: "dict[int, str]" = {}
-    pending = dict(payloads)
-    crash_rounds = 0
-    while pending:
-        crashed = False
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    _check_point,
-                    (*payload, index, attempts[index]),
-                ): index
-                for index, payload in pending.items()
-            }
-            not_done = set(futures)
-            while not_done:
-                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = futures[future]
-                    try:
-                        results[index] = future.result()
-                        del pending[index]
-                    except BrokenProcessPool:
-                        crashed = True
-                    # Any other exception is a deterministic worker error
-                    # (bad config, bad program) and propagates as before.
-                if crashed:
-                    break
-        if pending and not crashed:  # pragma: no cover - defensive
-            crashed = True
-        if crashed and pending:
-            crash_rounds += 1
-            for index in pending:
-                attempts[index] += 1
-            if not retry.retries_left(crash_rounds):
-                lost = sorted(pending)
-                raise RuntimeError(
-                    f"sweep points {lost} crashed their workers "
-                    f"{crash_rounds} time(s); retry budget "
-                    f"(max_retries={retry.max_retries}) exhausted"
-                )
-            time.sleep(retry.delay(crash_rounds - 1))
-    return [DebugReport.from_json(results[index]) for index in range(len(points))]
+    return [job.report for job in jobs]
 
 
 def sharded_sweep(

@@ -331,6 +331,25 @@ class TestDegradation:
             r.passed for r in sampled.records
         ]
 
+    def test_converging_job_skips_static_rung_and_matches_check_program(self):
+        # check_program runs run_until_converged for converge=True, which
+        # never short-circuits statically; the inline STATIC rung must not
+        # answer such a job with a different report.
+        from repro.workloads.clifford import get_clifford_scenario
+
+        program = get_clifford_scenario("ghz_broken_link").build_correct(8)
+        config = RunConfig(
+            ensemble_size=8, seed=3, static_preflight=True, converge=True,
+            backend="stabilizer",
+        )
+        direct = check_program(program, config)
+        assert [r.method for r in direct.records] == ["sampled", "sampled"]
+        assert len(direct.convergence) == 2
+        with service() as svc:
+            job = svc.wait(svc.submit(program, config), timeout=WAIT)
+        assert job.state == JobState.DONE
+        assert job.report.to_json() == direct.to_json()
+
     def test_undecidable_job_goes_to_worker(self):
         # A non-Clifford program is not fully decidable: static_preflight
         # must not short-circuit it, so it runs on a worker.

@@ -232,19 +232,30 @@ class TestShardedCrashRecovery:
         assert [r.to_json() for r in recovered] == [r.to_json() for r in clean]
 
     def test_exhausted_crashes_raise_naming_lost_points(self, monkeypatch):
-        points = _sweep_points(3)
+        points = [
+            (program, config.replace(max_retries=1))
+            for program, config in _sweep_points(3)
+        ]
         monkeypatch.setenv("REPRO_FAULT_SPEC", "crash@1x9")
-        retry = RetryPolicy(max_retries=1, backoff_base=0.01)
-        # The broken pool may take in-flight sibling points down with it, so
-        # the lost set always contains the crasher but may name siblings too.
-        with pytest.raises(
-            RuntimeError, match=r"retry budget \(max_retries=1\) exhausted"
-        ) as excinfo:
-            run_sharded_points(points, max_workers=2, retry=retry)
-        assert "1" in str(excinfo.value)
+        with pytest.raises(RuntimeError) as excinfo:
+            run_sharded_points(points, max_workers=2)
+        message = str(excinfo.value)
+        assert message.startswith("sweep points [1] were lost")
+        assert "point 1 FAILED after 2 attempt(s)" in message
+
+    def test_hung_point_times_out_naming_it(self, monkeypatch):
+        points = [
+            (program, config.replace(job_timeout=0.5))
+            for program, config in _sweep_points(2)
+        ]
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "hang@1:5")
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"sweep points \[1\] .*TIMEOUT"):
+            run_sharded_points(points, max_workers=2)
+        assert time.monotonic() - start < 5.0
 
     def test_serial_path_ignores_fault_spec(self, monkeypatch):
-        # The in-process path passes no fault coordinates, so an injected
+        # The in-process path never consults the fault spec, so an injected
         # crash can never kill the parent.
         points = _sweep_points(2)
         clean = run_sharded_points(points, max_workers=1)
@@ -255,5 +266,5 @@ class TestShardedCrashRecovery:
     def test_deterministic_worker_errors_still_propagate(self, monkeypatch):
         points = _sweep_points(2)
         monkeypatch.setenv("REPRO_FAULT_SPEC", "error@0x9")
-        with pytest.raises(InjectedFault):
+        with pytest.raises(RuntimeError, match="InjectedFault"):
             run_sharded_points(points, max_workers=2)
