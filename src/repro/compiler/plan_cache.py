@@ -116,18 +116,26 @@ def program_fingerprint(program: Program) -> str:
     Barriers, block markers and terminal measurements never affect the plan
     walk and are excluded, which is what makes the fingerprint stable across
     an OpenQASM round trip.
+
+    The digest is memoised on the program's
+    :class:`~repro.lang.program.InstructionList`, so a warm re-check hashes
+    nothing.  Every change that can move the digest drops the memo: any
+    in-place change or assignment of ``program.instructions``,
+    ``add_register`` and ``suppress_lint`` (instructions are frozen).
     """
+    instructions = program.instructions
+    if instructions.fingerprint is not None:
+        return instructions.fingerprint
     hasher = hashlib.sha256()
     for register in program.registers:
         hasher.update(f"r:{register.name}:{register.size};".encode())
     # Lint suppressions change the diagnostics embedded in cached analysis
     # results, so suppressing programs address distinct cache entries; the
     # common (no-suppression) case keeps its historical fingerprint.
-    suppressions = getattr(program, "lint_suppressions", None)
-    if suppressions:
-        hasher.update(f"q:{sorted(suppressions)};".encode())
+    if program.lint_suppressions:
+        hasher.update(f"q:{sorted(program.lint_suppressions)};".encode())
     x_key = None
-    for instruction in program.instructions:
+    for instruction in instructions:
         if isinstance(instruction, GateInstruction):
             _update_gate(
                 hasher,
@@ -173,7 +181,8 @@ def program_fingerprint(program: Program) -> str:
             continue
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected instruction type {type(instruction)!r}")
-    return hasher.hexdigest()
+    instructions.fingerprint = hasher.hexdigest()
+    return instructions.fingerprint
 
 
 def walk_is_deterministic(plan: ExecutionPlan) -> bool:

@@ -16,6 +16,7 @@ instructions.  It offers:
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from typing import Iterable, Sequence
 
@@ -41,7 +42,7 @@ from .instructions import (
 )
 from .registers import ClassicalRegister, QuantumRegister, Qubit, flatten_qubits
 
-__all__ = ["Program", "run_instructions"]
+__all__ = ["InstructionList", "Program", "run_instructions"]
 
 
 def run_instructions(
@@ -86,28 +87,93 @@ def run_instructions(
     return backend
 
 
+class InstructionList(list):
+    """A program's instruction list, carrying the program's fingerprint memo.
+
+    ``fingerprint`` holds the digest that
+    :func:`repro.compiler.plan_cache.program_fingerprint` last computed for
+    the program owning this list, or ``None``.  Every in-place change to the
+    list (``append``, slice assignment, ``insert``, ``del``, ``+=``,
+    ``sort``, ...) drops it, and so do the owner's register and
+    lint-suppression changes.  Instructions themselves are frozen, so no
+    other change can move the digest.  The memo lives here rather than on
+    the program so that the list's own mutators can drop it without a
+    reference back to their owner.  Slices and ``+`` return plain lists.
+
+    The memo is part of the pickled state, which unpickling restores after
+    replaying the items, so it travels with a program to a worker process.
+    """
+
+    __slots__ = ("fingerprint",)
+
+    def __init__(self, instructions: Iterable[Instruction] = ()):
+        super().__init__(instructions)
+        self.fingerprint: str | None = None
+
+
+def _dropping_fingerprint(method):
+    @functools.wraps(method)
+    def mutator(self, *args, **kwargs):
+        self.fingerprint = None
+        return method(self, *args, **kwargs)
+
+    return mutator
+
+
+for _name in (
+    "__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+    "insert", "pop", "remove", "clear", "sort", "reverse",
+):
+    setattr(InstructionList, _name, _dropping_fingerprint(getattr(list, _name)))
+del _name
+
+
 class Program:
-    """An ordered quantum program over named registers."""
+    """An ordered quantum program over named registers.
+
+    ``instructions`` is an :class:`InstructionList`; assigning any iterable
+    to it stores a fresh copy.  ``lint_suppressions`` is a read-only
+    ``frozenset`` that only :meth:`suppress_lint` extends.  Together with
+    :meth:`add_register` these are the only changes that can move the
+    program's fingerprint, and each of them drops its memo.
+    """
 
     def __init__(self, name: str = "main"):
         self.name = name
         self.registers: list[QuantumRegister] = []
         self.classical_registers: list[ClassicalRegister] = []
-        self.instructions: list[Instruction] = []
+        self._instructions = InstructionList()
         self._offsets: dict[QuantumRegister, int] = {}
         self._num_qubits = 0
         self._next_block_id = 0
         self._open_blocks: dict[str, list[int]] = {}
-        #: Lint codes (``"QLINT003"``) the author opted out of, e.g. via
-        #: ``// qlint: disable=QLINT003`` comments in imported OpenQASM.
-        #: Honored by :func:`repro.analysis.lint_program` unless the caller
-        #: passes ``suppress=False``.
-        self.lint_suppressions: set[str] = set()
+        self._lint_suppressions: frozenset[str] = frozenset()
+
+    @property
+    def instructions(self) -> InstructionList:
+        return self._instructions
+
+    @instructions.setter
+    def instructions(self, instructions: Iterable[Instruction]) -> None:
+        self._instructions = InstructionList(instructions)
+
+    @property
+    def lint_suppressions(self) -> frozenset[str]:
+        """Lint codes (``"QLINT003"``) the author opted out of.
+
+        Set via :meth:`suppress_lint`, e.g. by ``// qlint: disable=QLINT003``
+        comments in imported OpenQASM.  Honored by
+        :func:`repro.analysis.lint_program` unless the caller passes
+        ``suppress=False``.
+        """
+        return self._lint_suppressions
 
     def suppress_lint(self, *codes: str) -> "Program":
         """Opt out of the given ``QLINT0xx`` diagnostics for this program."""
-        for code in codes:
-            self.lint_suppressions.add(str(code).upper())
+        self._lint_suppressions = self._lint_suppressions.union(
+            str(code).upper() for code in codes
+        )
+        self._instructions.fingerprint = None
         return self
 
     # ------------------------------------------------------------------
@@ -123,6 +189,7 @@ class Program:
         self._offsets[register] = self._num_qubits
         self.registers.append(register)
         self._num_qubits += register.size
+        self._instructions.fingerprint = None
         return register
 
     def qreg(self, name: str, size: int) -> QuantumRegister:

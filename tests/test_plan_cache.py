@@ -9,6 +9,9 @@ family.
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,9 @@ from repro.compiler import (
     default_plan_cache,
     program_fingerprint,
 )
+from repro.lang import auto_place_assertions, compute, control, uncompute
 from repro.lang.instructions import GateInstruction
+from repro.lang.program import InstructionList
 from repro.lang.qasm import from_qasm, to_qasm
 
 SEED = 20190622
@@ -136,6 +141,163 @@ class TestFingerprint:
         dressed.barrier()
         dressed.measure([q[0], q[1]])
         assert program_fingerprint(bare) == program_fingerprint(dressed)
+
+
+def rebuilt(program: Program) -> Program:
+    """A fresh program equal to ``program``, built without any memo."""
+    fresh = Program(program.name)
+    for register in program.registers:
+        fresh.add_register(register)
+    for instruction in program.instructions:
+        fresh.append(instruction)
+    return fresh.suppress_lint(*program.lint_suppressions)
+
+
+def x_gate(qubit) -> GateInstruction:
+    return GateInstruction(name="x", targets=(qubit,))
+
+
+def patterned_program() -> Program:
+    """A control block and a compute/uncompute pair: both suggest assertions."""
+    program = Program("patterned")
+    c = program.qreg("c", 1)
+    data = program.qreg("d", 2)
+    scratch = program.qreg("s", 1)
+    program.h(c[0])
+    with compute(program, involved=[scratch[0]]):
+        program.cnot(data[0], scratch[0])
+    with control(program, c):
+        program.x(data[1])
+    uncompute(program)
+    return program
+
+
+def _delete_first(program: Program) -> None:
+    del program.instructions[0]
+
+
+def _add_in_place(program: Program) -> None:
+    program.instructions += [x_gate(program.registers[0][1])]
+
+
+def _assign(program: Program) -> None:
+    program.instructions = list(reversed(program.instructions))
+
+
+def _set_slice(program: Program) -> None:
+    program.instructions[0:1] = [x_gate(program.registers[0][0])]
+
+
+#: Mutations of a fingerprinted bell program, each of which moves its digest.
+MUTATIONS = {
+    "append": lambda p: p.x(p.registers[0][1]),
+    "extend": lambda p: p.extend([x_gate(p.registers[0][1])]),
+    "add_register": lambda p: p.qreg("extra", 1),
+    "suppress_lint": lambda p: p.suppress_lint("qlint003"),
+    "slice_assignment": _set_slice,
+    "insert": lambda p: p.instructions.insert(1, x_gate(p.registers[0][0])),
+    "pop": lambda p: p.instructions.pop(),
+    "del": _delete_first,
+    "iadd": _add_in_place,
+    "clear": lambda p: p.instructions.clear(),
+    "sort": lambda p: p.instructions.sort(key=lambda i: type(i).__name__),
+    "assignment": _assign,
+}
+
+
+class TestFingerprintMemo:
+    """The digest is memoised on the program and every mutation drops it."""
+
+    def test_memo_is_the_digest(self):
+        program = bell_program()
+        digest = program_fingerprint(program)
+        assert program.instructions.fingerprint == digest
+        assert program_fingerprint(program) == digest
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_mutation_drops_the_memo(self, mutation):
+        program = bell_program()
+        before = program_fingerprint(program)
+        MUTATIONS[mutation](program)
+        after = program_fingerprint(program)
+        assert after != before
+        assert after == program_fingerprint(rebuilt(program))
+        assert isinstance(program.instructions, InstructionList)
+
+    def test_control_block_rewrite_drops_the_memo(self):
+        program = Program("controlled")
+        c = program.qreg("c", 1)
+        q = program.qreg("q", 1)
+        with control(program, c):
+            program.x(q[0])
+            before = program_fingerprint(program)
+        after = program_fingerprint(program)
+        assert after != before
+        assert after == program_fingerprint(rebuilt(program))
+
+    def test_auto_placed_assertions_drop_the_memo(self):
+        program = patterned_program()
+        before = program_fingerprint(program)
+        assert auto_place_assertions(program)
+        after = program_fingerprint(program)
+        assert after != before
+        assert after == program_fingerprint(rebuilt(program))
+
+    def test_breakpoint_programs_fingerprint_their_prefixes(self):
+        program = bell_program()
+        program.x(program.registers[0][0])
+        program.assert_classical(program.registers[0], 2, label="flipped")
+        source = program_fingerprint(program)
+        digests = []
+        for breakpoint in build_execution_plan(program).breakpoint_programs():
+            prefix = breakpoint.program
+            empty = program_fingerprint(Program(prefix.name))
+            digest = program_fingerprint(prefix)
+            assert digest == program_fingerprint(rebuilt(prefix))
+            assert digest not in (empty, source)
+            digests.append(digest)
+        assert len(set(digests)) == len(digests) == 2
+
+    def test_lint_suppressions_are_read_only(self):
+        program = bell_program()
+        program_fingerprint(program)
+        assert program.lint_suppressions == frozenset()
+        with pytest.raises(AttributeError):
+            program.lint_suppressions.add("QLINT003")
+        with pytest.raises(AttributeError):
+            program.lint_suppressions = {"QLINT003"}
+        assert program_fingerprint(program) == program_fingerprint(bell_program())
+
+    @pytest.mark.parametrize(
+        "clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy]
+    )
+    def test_clones_keep_the_type_and_digest(self, clone):
+        program = bell_program()
+        digest = program_fingerprint(program)
+        twin = clone(program)
+        assert type(twin.instructions) is InstructionList
+        assert program_fingerprint(twin) == digest
+        twin.x(twin.registers[0][0])
+        assert twin.instructions.fingerprint is None
+        assert program.instructions.fingerprint == digest
+        assert program_fingerprint(twin) == program_fingerprint(rebuilt(twin))
+        assert program_fingerprint(twin) != digest
+
+    def test_memo_travels_with_a_pickle(self):
+        program = bell_program()
+        digest = program_fingerprint(program)
+        assert pickle.loads(pickle.dumps(program)).instructions.fingerprint == digest
+
+    def test_service_job_on_a_memoised_program_is_done(self):
+        from repro.service import JobState, LocalService
+
+        config = RunConfig(ensemble_size=8, seed=SEED)
+        program = bell_program()
+        program_fingerprint(program)
+        with LocalService(max_workers=1, root_seed=SEED) as service:
+            job = service.wait(service.submit(program, config), timeout=60.0)
+        assert job.state == JobState.DONE
+        assert job.report.to_json() == check_program(bell_program(), config).to_json()
 
 
 class TestPlanCache:
