@@ -76,12 +76,6 @@ def _normalise_readout(readout) -> ReadoutErrorModel | None:
     )
 
 
-def _normalise_noise(noise) -> NoiseModel | None:
-    if noise is None or isinstance(noise, NoiseModel):
-        return noise
-    return NoiseModel.from_channels(noise)
-
-
 # -- JSON helpers -----------------------------------------------------------
 
 
@@ -285,7 +279,7 @@ class RunConfig:
         object.__setattr__(
             self, "readout_error", _normalise_readout(self.readout_error)
         )
-        object.__setattr__(self, "noise", _normalise_noise(self.noise))
+        object.__setattr__(self, "noise", NoiseModel.coerce(self.noise))
 
         object.__setattr__(self, "converge", bool(self.converge))
 

@@ -204,6 +204,34 @@ class SimulationBackend(abc.ABC):
             f"backend {self.name!r} cannot produce a statevector"
         )
 
+    # -- operand checks -------------------------------------------------
+
+    @staticmethod
+    def _validated_qubits(qubits: Sequence[int], num_qubits: int) -> list[int]:
+        """``qubits`` (or one qubit index) as distinct indices below ``num_qubits``."""
+        if isinstance(qubits, (int, np.integer)):
+            qubits = [int(qubits)]
+        qubit_list = [int(q) for q in qubits]
+        if len(set(qubit_list)) != len(qubit_list):
+            raise ValueError(f"duplicate qubits in {qubit_list}")
+        for q in qubit_list:
+            if not 0 <= q < num_qubits:
+                raise ValueError(
+                    f"qubit index {q} out of range for {num_qubits} qubits"
+                )
+        return qubit_list
+
+    @staticmethod
+    def _validated_matrix(matrix: np.ndarray, num_targets: int) -> np.ndarray:
+        """``matrix`` as a complex array, checked to act on ``num_targets`` qubits."""
+        matrix = np.asarray(matrix, dtype=complex)
+        if matrix.shape != (1 << num_targets, 1 << num_targets):
+            raise ValueError(
+                f"matrix of shape {matrix.shape} does not act on "
+                f"{num_targets} qubit(s)"
+            )
+        return matrix
+
 
 class StatevectorBackend(SimulationBackend):
     """Dense statevector backend built on the kernels in :mod:`repro.sim.kernels`.

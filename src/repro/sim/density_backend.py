@@ -49,15 +49,9 @@ from .kernels import (
 )
 from .measurement import ReadoutErrorModel
 from .noise import KrausChannel, NoiseModel
-from .statevector import Statevector
+from .statevector import Statevector, _as_rng
 
 __all__ = ["DensityMatrixBackend"]
-
-
-def _as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 class DensityMatrixBackend(SimulationBackend):
@@ -87,10 +81,7 @@ class DensityMatrixBackend(SimulationBackend):
         readout_error: ReadoutErrorModel | None = None,
     ):
         super().__init__()
-        if noise is None or isinstance(noise, NoiseModel):
-            self.noise = noise
-        else:
-            self.noise = NoiseModel.from_channels(noise)
+        self.noise = NoiseModel.coerce(noise)
         if readout_error is not None:
             self.readout_error = readout_error
         elif self.noise is not None:
@@ -180,7 +171,7 @@ class DensityMatrixBackend(SimulationBackend):
             self._pure.apply_matrix(matrix, qubit_list)
         else:
             matrix = self._validated_matrix(matrix, len(qubit_list))
-            self._validate_qubits(qubit_list)
+            self._validated_qubits(qubit_list, self._num_qubits)
             flat = self._rho.reshape(-1)
             n = self._num_qubits
             apply_matrix_inplace(
@@ -206,7 +197,7 @@ class DensityMatrixBackend(SimulationBackend):
             matrix = self._validated_matrix(matrix, len(target_list))
             if set(control_list) & set(target_list):
                 raise ValueError("control and target qubits overlap")
-            self._validate_qubits(control_list + target_list)
+            self._validated_qubits(control_list + target_list, self._num_qubits)
             flat = self._rho.reshape(-1)
             n = self._num_qubits
             # conj(controlled(U)) == controlled(conj(U)): the control
@@ -236,7 +227,7 @@ class DensityMatrixBackend(SimulationBackend):
                 f"channel {channel.name!r} acts on {channel.num_qubits} "
                 f"qubit(s), got {len(qubit_list)} operand(s)"
             )
-        self._validate_qubits(qubit_list)
+        self._validated_qubits(qubit_list, self._num_qubits)
         self.densify()
         n = self._num_qubits
         flat = self._rho.reshape(-1)
@@ -373,10 +364,7 @@ class DensityMatrixBackend(SimulationBackend):
         order given) — directly comparable with
         :func:`repro.sim.density.reduced_density_matrix` ground truth."""
         self._require_state()
-        keep = [int(q) for q in keep]
-        if len(set(keep)) != len(keep):
-            raise ValueError("duplicate qubits in keep list")
-        self._validate_qubits(keep)
+        keep = self._validated_qubits(keep, self._num_qubits)
         if self._pure is not None:
             return _pure_reduced_density_matrix(self._pure, keep)
         n = self._num_qubits
@@ -408,25 +396,6 @@ class DensityMatrixBackend(SimulationBackend):
     def _require_state(self) -> None:
         if self._pure is None and self._rho is None:
             raise RuntimeError("backend not initialised; call initialize() first")
-
-    def _validate_qubits(self, qubits: Sequence[int]) -> None:
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"duplicate qubits in {list(qubits)}")
-        for q in qubits:
-            if not 0 <= q < self._num_qubits:
-                raise ValueError(
-                    f"qubit index {q} out of range for {self._num_qubits} qubits"
-                )
-
-    @staticmethod
-    def _validated_matrix(matrix: np.ndarray, num_targets: int) -> np.ndarray:
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (1 << num_targets, 1 << num_targets):
-            raise ValueError(
-                f"matrix of shape {matrix.shape} does not act on "
-                f"{num_targets} qubit(s)"
-            )
-        return matrix
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         representation = (

@@ -43,6 +43,7 @@ __all__ = [
     "pauli_mask_kernel",
     "marginal_probabilities",
     "popcount_u64",
+    "locate_bit",
     "pack_bits_to_words",
     "unpack_words_to_bits",
     "ints_to_bits",
@@ -81,6 +82,15 @@ else:  # pragma: no cover - NumPy < 2.0 fallback
         return (
             _POPCOUNT_TABLE[as_bytes].reshape(words.shape + (8,)).sum(axis=-1)
         )
+
+
+_ONE64 = np.uint64(1)
+
+
+def locate_bit(index: int) -> tuple[int, np.uint64, np.uint64]:
+    """(word, in-word shift, single-bit mask) of entry ``index`` in packed words."""
+    shift = np.uint64(index & 63)
+    return index >> 6, shift, _ONE64 << shift
 
 
 def pack_bits_to_words(bits: np.ndarray) -> np.ndarray:

@@ -474,6 +474,15 @@ class NoiseModel:
             importance_boost=importance_boost,
         )
 
+    @classmethod
+    def coerce(
+        cls, noise: "NoiseModel | KrausChannel | Iterable[KrausChannel] | None"
+    ) -> "NoiseModel | None":
+        """``None`` or a model unchanged; a channel or channels wrapped into one."""
+        if noise is None or isinstance(noise, cls):
+            return noise
+        return cls.from_channels(noise)
+
     @property
     def is_ideal(self) -> bool:
         return not self.gate_channels and self.readout.is_ideal

@@ -38,6 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .kernels import locate_bit
+
 __all__ = ["PauliFrameSet"]
 
 _ONE = np.uint64(1)
@@ -76,12 +78,6 @@ class PauliFrameSet:
         """True when no member carries any Pauli (noiseless so far)."""
         return not (self.x.any() or self.z.any())
 
-    @staticmethod
-    def _locate(qubit: int) -> tuple[int, np.uint64, np.uint64]:
-        """(word index, shift, single-bit mask) of one qubit."""
-        shift = np.uint64(qubit & 63)
-        return qubit >> 6, shift, _ONE << shift
-
     # -- conjugation by Clifford gates (sign-free) ----------------------
     #
     # Each rule is U F U^dagger restricted to the (x, z) bits; the op names
@@ -89,13 +85,13 @@ class PauliFrameSet:
     # tableau op word can drive the frames unchanged.
 
     def h(self, q: int) -> None:
-        w, _, bit = self._locate(q)
+        w, _, bit = locate_bit(q)
         diff = (self.x[:, w] ^ self.z[:, w]) & bit
         self.x[:, w] ^= diff
         self.z[:, w] ^= diff
 
     def s(self, q: int) -> None:
-        w, _, bit = self._locate(q)
+        w, _, bit = locate_bit(q)
         self.z[:, w] ^= self.x[:, w] & bit
 
     def sdg(self, q: int) -> None:
@@ -111,20 +107,20 @@ class PauliFrameSet:
         pass
 
     def cx(self, control: int, target: int) -> None:
-        wc, sc, _ = self._locate(control)
-        wt, st, _ = self._locate(target)
+        wc, sc, _ = locate_bit(control)
+        wt, st, _ = locate_bit(target)
         self.x[:, wt] ^= ((self.x[:, wc] >> sc) & _ONE) << st
         self.z[:, wc] ^= ((self.z[:, wt] >> st) & _ONE) << sc
 
     def cz(self, control: int, target: int) -> None:
-        wc, sc, _ = self._locate(control)
-        wt, st, _ = self._locate(target)
+        wc, sc, _ = locate_bit(control)
+        wt, st, _ = locate_bit(target)
         self.z[:, wt] ^= ((self.x[:, wc] >> sc) & _ONE) << st
         self.z[:, wc] ^= ((self.x[:, wt] >> st) & _ONE) << sc
 
     def swap(self, a: int, b: int) -> None:
-        wa, sa, _ = self._locate(a)
-        wb, sb, _ = self._locate(b)
+        wa, sa, _ = locate_bit(a)
+        wb, sb, _ = locate_bit(b)
         for array in (self.x, self.z):
             diff = ((array[:, wa] >> sa) ^ (array[:, wb] >> sb)) & _ONE
             array[:, wa] ^= diff << sa
@@ -152,7 +148,7 @@ class PauliFrameSet:
     def inject(self, qubit: int, paulis: np.ndarray) -> None:
         """XOR a sampled per-member Pauli (0=I, 1=X, 2=Y, 3=Z) into the frames."""
         paulis = np.asarray(paulis)
-        w, shift, _ = self._locate(qubit)
+        w, shift, _ = locate_bit(qubit)
         self.x[:, w] ^= ((paulis == 1) | (paulis == 2)).astype(np.uint64) << shift
         self.z[:, w] ^= ((paulis == 2) | (paulis == 3)).astype(np.uint64) << shift
 
@@ -160,17 +156,17 @@ class PauliFrameSet:
 
     def x_bits(self, qubit: int) -> np.ndarray:
         """The per-member frame ``x`` bit on one qubit, as a 0/1 int64 array."""
-        w, shift, _ = self._locate(qubit)
+        w, shift, _ = locate_bit(qubit)
         return ((self.x[:, w] >> shift) & _ONE).astype(np.int64)
 
     def z_bits(self, qubit: int) -> np.ndarray:
         """The per-member frame ``z`` bit on one qubit, as a 0/1 int64 array."""
-        w, shift, _ = self._locate(qubit)
+        w, shift, _ = locate_bit(qubit)
         return ((self.z[:, w] >> shift) & _ONE).astype(np.int64)
 
     def flip_x(self, qubit: int, members: np.ndarray) -> None:
         """XOR an X into the frames of the members selected by a boolean mask."""
-        w, shift, _ = self._locate(qubit)
+        w, shift, _ = locate_bit(qubit)
         self.x[:, w] ^= np.asarray(members, dtype=bool).astype(np.uint64) << shift
 
     # -- readout --------------------------------------------------------

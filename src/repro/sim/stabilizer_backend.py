@@ -68,22 +68,17 @@ from .clifford import (
 from .kernels import (
     bits_to_ints,
     ints_to_bits,
+    locate_bit,
     pack_bits_to_words,
     pauli_mask_kernel,
     popcount_u64,
     unpack_words_to_bits,
 )
 from .measurement import ReadoutErrorModel
-from .noise import KrausChannel, NoiseModel, PauliChannelSampler
+from .noise import KrausChannel, NoiseModel
 from .pauli_frame import PauliFrameSet
 from .statevector import Statevector, _as_rng
-from .trajectory_backend import (
-    StreamPool,
-    TrajectoryNoiseBackend,
-    as_member_streams,
-    iter_noise_events,
-    spawn_trajectory_streams,
-)
+from .trajectory_backend import MemberNoise, TrajectoryNoiseBackend
 
 __all__ = [
     "StabilizerBackend",
@@ -279,12 +274,6 @@ class _UnpackedTableau:
 _ONE64 = np.uint64(1)
 
 
-def _locate64(qubit: int) -> tuple[int, np.uint64, np.uint64]:
-    """(word index, in-word shift, single-bit mask) of a qubit in packed rows."""
-    shift = np.uint64(qubit & 63)
-    return qubit >> 6, shift, _ONE64 << shift
-
-
 class _PackedRows:
     """Row-major bit-packed tableau: the measurement engine.
 
@@ -376,7 +365,7 @@ class _PackedRows:
 
     def random_row(self, q: int) -> int | None:
         """Index of a stabilizer row anticommuting with Z_q, if any."""
-        w, _, bit = _locate64(q)
+        w, _, bit = locate_bit(q)
         candidates = np.flatnonzero(self.x[self.n : 2 * self.n, w] & bit)
         return int(candidates[0]) + self.n if candidates.size else None
 
@@ -389,7 +378,7 @@ class _PackedRows:
         self.x[scratch] = 0
         self.z[scratch] = 0
         self.r[scratch] = 0
-        w, _, bit = _locate64(q)
+        w, _, bit = locate_bit(q)
         for i in np.flatnonzero(self.x[:n, w] & bit):
             self.rowsum_into(scratch, int(i) + n)
         return int(self.r[scratch])
@@ -402,7 +391,7 @@ class _PackedRows:
                 f"qubit {q} is deterministic; collapse needs a 50/50 outcome"
             )
         n = self.n
-        w, _, bit = _locate64(q)
+        w, _, bit = locate_bit(q)
         others = np.flatnonzero(self.x[: 2 * n, w] & bit)
         others = others[others != p]
         if others.size:
@@ -525,7 +514,7 @@ class _Tableau:
         else:  # sign-only update: cheaper on the live mirror than a bridge
             packed = self._packed
             rows = 2 * packed.n
-            w, shift, _ = _locate64(q)
+            w, shift, _ = locate_bit(q)
             packed.r[:rows] ^= (
                 (packed.z[:rows, w] >> shift) & _ONE64
             ).astype(np.uint8)
@@ -537,7 +526,7 @@ class _Tableau:
         else:
             packed = self._packed
             rows = 2 * packed.n
-            w, shift, _ = _locate64(q)
+            w, shift, _ = locate_bit(q)
             packed.r[:rows] ^= (
                 ((packed.x[:rows, w] ^ packed.z[:rows, w]) >> shift) & _ONE64
             ).astype(np.uint8)
@@ -549,7 +538,7 @@ class _Tableau:
         else:
             packed = self._packed
             rows = 2 * packed.n
-            w, shift, _ = _locate64(q)
+            w, shift, _ = locate_bit(q)
             packed.r[:rows] ^= (
                 (packed.x[:rows, w] >> shift) & _ONE64
             ).astype(np.uint8)
@@ -753,6 +742,10 @@ class StabilizerBackend(SimulationBackend):
     so per-gate bit/phase-flip sweeps on 24–48 qubit Clifford workloads cost
     barely more than the noiseless walk.  Readout XORs each member's frame
     flips onto outcomes drawn from the shared tableau distribution.
+
+    ``member_noise`` shares a :class:`~repro.sim.trajectory_backend.MemberNoise`
+    instead of building one from ``noise``, ``batch_size``, ``rng_streams``
+    and ``seed`` (the hybrid backend's stages share one).
     """
 
     name = "stabilizer"
@@ -764,44 +757,15 @@ class StabilizerBackend(SimulationBackend):
         batch_size: int = 1,
         rng_streams: "Sequence[np.random.Generator] | None" = None,
         seed: "int | np.random.SeedSequence | None" = None,
+        member_noise: MemberNoise | None = None,
     ):
         super().__init__()
         self._tableau: _Tableau | None = None
-        if noise is None or isinstance(noise, NoiseModel):
-            self.noise = noise
-        else:
-            self.noise = NoiseModel.from_channels(noise)
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self._batch_size = int(batch_size)
-        channels = self.noise.gate_channels if self.noise is not None else ()
-        boost = self.noise.importance_boost if self.noise is not None else None
-        try:
-            self._samplers = tuple(
-                PauliChannelSampler(
-                    channel.pauli_decomposition(), importance_boost=boost
-                )
-                for channel in channels
-            )
-        except ValueError as exc:
-            raise ValueError(
-                "the stabilizer tableau only carries Pauli noise (frames); "
-                f"{exc}"
-            ) from None
-        self._biased = any(sampler.is_biased for sampler in self._samplers)
-        self._weights: np.ndarray | None = (
-            np.ones(self._batch_size) if self._biased else None
-        )
-        self._carries_frames = bool(self._samplers) or self._batch_size > 1
-        if self._carries_frames:
-            if rng_streams is not None:
-                self._pool = as_member_streams(rng_streams, self._batch_size)
-            else:
-                self._pool = StreamPool(
-                    spawn_trajectory_streams(seed, self._batch_size)
-                )
-        else:
-            self._pool = None
+        if member_noise is None:
+            member_noise = MemberNoise(noise, batch_size, rng_streams, seed)
+        self._member_noise = member_noise
+        self.noise = member_noise.noise
+        self._batch_size = member_noise.batch_size
         self._frames: PauliFrameSet | None = None
         if num_qubits is not None:
             self.initialize(num_qubits)
@@ -826,10 +790,10 @@ class StabilizerBackend(SimulationBackend):
         self, num_qubits: int, initial_state: Statevector | None = None
     ) -> "StabilizerBackend":
         self._tableau = _Tableau(num_qubits)
-        if self._carries_frames:
+        # Frames ride along whenever members can diverge (noise or a batch).
+        if self._member_noise.pool is not None:
             self._frames = PauliFrameSet(self._batch_size, num_qubits)
-        if self._biased:
-            self._weights = np.ones(self._batch_size)
+        self._member_noise.reset()
         if initial_state is not None:
             if initial_state.num_qubits != num_qubits:
                 raise ValueError("initial state has the wrong number of qubits")
@@ -864,8 +828,9 @@ class StabilizerBackend(SimulationBackend):
         token = tableau.snapshot_token()
         if self._frames is not None:
             token += (self._frames.x.copy(), self._frames.z.copy())
-        if self._weights is not None:
-            token += (self._weights.copy(),)
+        weights = self._member_noise.member_weights()
+        if weights is not None:
+            token += (weights,)
         return token
 
     def restore(self, token: object) -> "StabilizerBackend":
@@ -877,7 +842,7 @@ class StabilizerBackend(SimulationBackend):
         if len(parts) not in (3, 5, 6):
             raise ValueError("not a StabilizerBackend snapshot token")
         if (len(parts) >= 5) != (self._frames is not None) or (
-            (len(parts) == 6) != (self._weights is not None)
+            (len(parts) == 6) != (self._member_noise.weights is not None)
         ):
             raise ValueError(
                 "snapshot frame payload does not match the backend's noise "
@@ -897,7 +862,6 @@ class StabilizerBackend(SimulationBackend):
             not 0 <= v <= full for v in x_cols + z_cols
         ):
             raise ValueError("snapshot does not match the current register size")
-        tableau.restore_token(x_cols, z_cols, r)
         if self._frames is not None:
             frame_x, frame_z = (
                 np.asarray(part, dtype=np.uint64) for part in parts[3:5]
@@ -908,11 +872,8 @@ class StabilizerBackend(SimulationBackend):
                 raise ValueError("snapshot does not match the frame batch shape")
             self._frames.x = frame_x.copy()
             self._frames.z = frame_z.copy()
-        if self._weights is not None:
-            weights = np.asarray(parts[5], dtype=float)
-            if weights.shape != self._weights.shape:
-                raise ValueError("snapshot does not match the frame batch shape")
-            self._weights = weights.copy()
+        self._member_noise.restore_weights(parts[5] if len(parts) == 6 else None)
+        tableau.restore_token(x_cols, z_cols, r)
         return self
 
     # -- evolution ------------------------------------------------------
@@ -921,19 +882,10 @@ class StabilizerBackend(SimulationBackend):
         self, matrix: np.ndarray, qubits: Sequence[int]
     ) -> "StabilizerBackend":
         tableau = self._require_tableau()
-        qubit_list = self._validated_qubits(qubits)
-        matrix = np.asarray(matrix, dtype=complex)
-        k = len(qubit_list)
-        if matrix.shape != (1 << k, 1 << k):
-            raise ValueError(
-                f"matrix of shape {matrix.shape} does not act on {k} qubit(s)"
-            )
-        ops = decompose_gate(matrix, k)
-        tableau.apply_ops(ops, qubit_list)
-        if self._frames is not None:
-            self._frames.apply_ops(ops, qubit_list)
-        self.gates_applied += 1
-        self._apply_gate_noise(qubit_list)
+        qubit_list = self._validated_qubits(qubits, tableau.n)
+        matrix = self._validated_matrix(matrix, len(qubit_list))
+        ops = decompose_gate(matrix, len(qubit_list))
+        self._apply_ops(tableau, ops, qubit_list)
         return self
 
     def apply_controlled(
@@ -943,41 +895,28 @@ class StabilizerBackend(SimulationBackend):
         targets: Sequence[int],
     ) -> "StabilizerBackend":
         tableau = self._require_tableau()
-        control_list = self._validated_qubits(controls)
-        target_list = self._validated_qubits(targets)
+        control_list = self._validated_qubits(controls, tableau.n)
+        target_list = self._validated_qubits(targets, tableau.n)
         if set(control_list) & set(target_list):
             raise ValueError("control and target qubits overlap")
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (1 << len(target_list), 1 << len(target_list)):
-            raise ValueError(
-                f"matrix of shape {matrix.shape} does not act on "
-                f"{len(target_list)} qubit(s)"
-            )
+        matrix = self._validated_matrix(matrix, len(target_list))
         ops = decompose_controlled_gate(matrix, len(control_list), len(target_list))
-        tableau.apply_ops(ops, control_list + target_list)
-        if self._frames is not None:
-            self._frames.apply_ops(ops, control_list + target_list)
-        self.gates_applied += 1
-        self._apply_gate_noise(control_list + target_list)
+        self._apply_ops(tableau, ops, control_list + target_list)
         return self
 
-    def _apply_gate_noise(
-        self, touched: Sequence[int], members: np.ndarray | None = None
+    def _apply_ops(
+        self, tableau: _Tableau, ops: Sequence[tuple], qubits: list[int]
     ) -> None:
-        """Sample one Pauli per member per channel per touched qubit into frames.
+        """Run one gate's op word on the tableau and frames, then its noise.
 
-        Shares :func:`repro.sim.trajectory_backend.iter_noise_events` — one
-        sampling-contract implementation for statevector trajectories and
-        tableau frames alike.
+        The noise events come from the same sampling contract as the
+        statevector trajectories, drawn into the frames.
         """
-        for qubit, paulis in iter_noise_events(
-            self._samplers,
-            touched,
-            self._pool,
-            self._batch_size,
-            members,
-            weights=self._weights,
-        ):
+        tableau.apply_ops(ops, qubits)
+        if self._frames is not None:
+            self._frames.apply_ops(ops, qubits)
+        self.gates_applied += 1
+        for qubit, paulis in self._member_noise.events(qubits):
             self._frames.inject(qubit, paulis)
 
     def member_weights(self) -> np.ndarray | None:
@@ -988,7 +927,7 @@ class StabilizerBackend(SimulationBackend):
         likelihood ratios of that member's sampled noise events, and
         ensemble statistics must be weighted by them to stay unbiased.
         """
-        return None if self._weights is None else self._weights.copy()
+        return self._member_noise.member_weights()
 
     # -- Pauli observables ----------------------------------------------
 
@@ -1019,10 +958,7 @@ class StabilizerBackend(SimulationBackend):
     def pauli_expectation(self, x_mask: int, z_mask: int) -> float:
         """Exact ensemble ``<P>`` (weighted frame average when noise is live)."""
         members = self.member_pauli_expectations(x_mask, z_mask)
-        if self._weights is None:
-            return float(members.mean())
-        total = float(self._weights.sum())
-        return float((self._weights * members).sum() / total)
+        return float(self._member_noise.mixture(members))
 
     # -- readout --------------------------------------------------------
 
@@ -1035,8 +971,8 @@ class StabilizerBackend(SimulationBackend):
         O(support x k x n²), so huge registers are fine as long as the state
         has small measurement support on them (GHZ: support 2 at any width).
         """
-        qubit_list = self._validated_qubits(qubits)
         tableau = self._require_tableau()
+        qubit_list = self._validated_qubits(qubits, tableau.n)
         distribution = tableau_outcome_distribution(tableau, qubit_list)
         assert distribution is not None  # no cap: enumeration always completes
         return distribution
@@ -1060,20 +996,17 @@ class StabilizerBackend(SimulationBackend):
         With frames the member distributions are the tableau distribution
         XOR-shifted by each member's flip mask, so the ensemble-averaged
         marginal is a cheap convolution of the tableau marginal with the
-        frame-flip histogram.
+        (likelihood-ratio weighted) frame-flip histogram.
         """
-        if qubits is None:
-            qubits = list(range(self.num_qubits))
-        qubit_list = self._validated_qubits(qubits)
+        qubit_list = self._readout_qubits(qubits)
         base = self._tableau_probabilities(qubit_list)
         if self._frames is None or self._frames.is_identity:
             return base
         flips = self._frames.outcome_flips(qubit_list)
-        unique, counts = np.unique(flips, return_counts=True)
         averaged = np.zeros_like(base)
         indices = np.arange(base.size)
-        for flip, count in zip(unique, counts):
-            averaged[indices ^ int(flip)] += (count / self._batch_size) * base
+        for flip, share in zip(*self._member_noise.shares(flips)):
+            averaged[indices ^ int(flip)] += share * base
         return averaged
 
     def sample(
@@ -1091,9 +1024,7 @@ class StabilizerBackend(SimulationBackend):
         i.i.d. from the frame-averaged mixture.
         """
         rng = _as_rng(rng)
-        if qubits is None:
-            qubits = list(range(self.num_qubits))
-        qubit_list = self._validated_qubits(qubits)
+        qubit_list = self._readout_qubits(qubits)
         if self._frames is not None and shots == self._batch_size:
             base = self._tableau_probabilities(qubit_list)
             base = base / base.sum()
@@ -1119,7 +1050,7 @@ class StabilizerBackend(SimulationBackend):
         the corresponding base outcome.
         """
         tableau = self._require_tableau()
-        qubit_list = self._validated_qubits(qubits)
+        qubit_list = self._validated_qubits(qubits, tableau.n)
         rng = _as_rng(rng)
         flip = 0
         if self._frames is not None:
@@ -1162,7 +1093,7 @@ class StabilizerBackend(SimulationBackend):
         if self._frames is None:
             return super().prep_qubit(qubit, value, rng=rng)
         tableau = self._require_tableau()
-        (qubit,) = self._validated_qubits([qubit])
+        (qubit,) = self._validated_qubits([qubit], tableau.n)
         value = int(value)
         deterministic = tableau.deterministic_outcome(qubit)
         if deterministic is None:
@@ -1176,7 +1107,8 @@ class StabilizerBackend(SimulationBackend):
             self._frames.flip_x(qubit, flips)
             self.gates_applied += 1
             # Only corrected members ran an X; only they pick up its noise.
-            self._apply_gate_noise([qubit], members=flips)
+            for noisy_qubit, paulis in self._member_noise.events([qubit], flips):
+                self._frames.inject(noisy_qubit, paulis)
         return self
 
     # -- conversion -----------------------------------------------------
@@ -1210,11 +1142,12 @@ class StabilizerBackend(SimulationBackend):
             basis |= outcome << q
         amplitudes = np.zeros(1 << n, dtype=complex)
         amplitudes[basis] = 1.0
-        indices = np.arange(1 << n)
         packed = tableau._ensure_packed()
         for row in range(n, 2 * n):
+            sign = -1.0 if packed.r[row] else 1.0
+            x_mask, z_mask = packed.row_masks(row)
             amplitudes = 0.5 * (
-                amplitudes + self._apply_pauli_row(packed, row, amplitudes, indices)
+                amplitudes + sign * pauli_mask_kernel(amplitudes, x_mask, z_mask)
             )
         norm = np.linalg.norm(amplitudes)
         if norm < 1e-12:  # pragma: no cover - support search guarantees overlap
@@ -1252,24 +1185,6 @@ class StabilizerBackend(SimulationBackend):
         finally:
             self._frames = frames
 
-    @staticmethod
-    def _apply_pauli_row(
-        packed: _PackedRows, row: int, amplitudes: np.ndarray, indices: np.ndarray
-    ) -> np.ndarray:
-        """Apply the Pauli encoded in packed row ``row`` to a dense vector."""
-        x_mask, z_mask = packed.row_masks(row)
-        y_count = (x_mask & z_mask).bit_count()
-        # Parity of the Z-checked bits of each index -> (-1)^(b.z)
-        masked = indices & z_mask
-        parity = masked
-        for shift in (16, 8, 4, 2, 1):
-            parity = parity ^ (parity >> shift)
-        signs = 1.0 - 2.0 * (parity & 1)
-        phase = (-1.0) ** int(packed.r[row]) * (1j) ** y_count
-        result = np.zeros_like(amplitudes)
-        result[indices ^ x_mask] = phase * signs * amplitudes
-        return result
-
     # -- helpers --------------------------------------------------------
 
     def _require_tableau(self) -> _Tableau:
@@ -1277,19 +1192,10 @@ class StabilizerBackend(SimulationBackend):
             raise RuntimeError("backend not initialised; call initialize() first")
         return self._tableau
 
-    def _validated_qubits(self, qubits: Sequence[int]) -> list[int]:
-        tableau = self._require_tableau()
-        if isinstance(qubits, (int, np.integer)):
-            qubits = [int(qubits)]
-        qubit_list = [int(q) for q in qubits]
-        if len(set(qubit_list)) != len(qubit_list):
-            raise ValueError(f"duplicate qubits in {qubit_list}")
-        for q in qubit_list:
-            if not 0 <= q < tableau.n:
-                raise ValueError(
-                    f"qubit index {q} out of range for {tableau.n} qubits"
-                )
-        return qubit_list
+    def _readout_qubits(self, qubits: Sequence[int] | None) -> list[int]:
+        """The validated readout qubits; ``None`` means the whole register."""
+        n = self._require_tableau().n
+        return self._validated_qubits(range(n) if qubits is None else qubits, n)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         qubits = self._tableau.n if self._tableau is not None else None
@@ -1316,9 +1222,11 @@ class HybridCliffordBackend(SimulationBackend):
     routing target for mixed plans: the Clifford prefix runs as **one**
     noiseless tableau walk with per-member Pauli frames, and the conversion
     at the first non-Clifford gate materialises every member's dense state
-    (tableau state + frame) into a :class:`TrajectoryNoiseBackend` batch —
-    the frames are carried across the boundary, and the same per-member rng
-    streams keep sampling the dense-stage noise.
+    (tableau state + frame) into a :class:`TrajectoryNoiseBackend` batch.
+    Both stages share the hybrid's one
+    :class:`~repro.sim.trajectory_backend.MemberNoise`, so the dense stage
+    keeps drawing from the same stream positions and multiplying onto the
+    same importance weights — nothing is handed over at the conversion.
     """
 
     name = "auto"
@@ -1334,26 +1242,8 @@ class HybridCliffordBackend(SimulationBackend):
         super().__init__()
         self._engine: SimulationBackend | None = None
         self._num_qubits: int | None = None
-        if noise is None or isinstance(noise, NoiseModel):
-            self.noise = noise
-        else:
-            self.noise = NoiseModel.from_channels(noise)
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self._batch_size = int(batch_size)
-        self._noisy = self.noise is not None and bool(self.noise.gate_channels)
-        if self._noisy or self._batch_size > 1:
-            # One pool shared by both stages: a member's uniform sequence is
-            # then identical to a pure trajectory walk of the same streams,
-            # regardless of where the conversion lands.
-            if rng_streams is not None:
-                self._pool = as_member_streams(rng_streams, self._batch_size)
-            else:
-                self._pool = StreamPool(
-                    spawn_trajectory_streams(seed, self._batch_size)
-                )
-        else:
-            self._pool = None
+        self._member_noise = MemberNoise(noise, batch_size, rng_streams, seed)
+        self.noise = self._member_noise.noise
         #: Number of tableau->statevector conversions performed (0 or 1 per walk).
         self.conversions = 0
         self._dense_gates = 0
@@ -1367,19 +1257,15 @@ class HybridCliffordBackend(SimulationBackend):
 
     @property
     def batch_size(self) -> int:
-        return self._batch_size
+        return self._member_noise.batch_size
 
     def _new_tableau_stage(self) -> StabilizerBackend:
-        if self._pool is None:
+        if self._member_noise.pool is None:
             return StabilizerBackend()
-        return StabilizerBackend(
-            noise=self.noise,
-            batch_size=self._batch_size,
-            rng_streams=self._pool,
-        )
+        return StabilizerBackend(member_noise=self._member_noise)
 
     def _new_dense_stage(self) -> SimulationBackend:
-        if self._pool is None:
+        if self._member_noise.pool is None:
             return StatevectorBackend()
         # The dense stage's native readout path is stripped: the hybrid
         # itself has no native readout (the tableau stage cannot apply one),
@@ -1387,10 +1273,7 @@ class HybridCliffordBackend(SimulationBackend):
         # leaving the noise model's bundled channel live here would corrupt
         # post-conversion breakpoints twice.
         return TrajectoryNoiseBackend(
-            noise=self.noise,
-            batch_size=self._batch_size,
-            rng_streams=self._pool,
-            readout_error=ReadoutErrorModel(),
+            member_noise=self._member_noise, readout_error=ReadoutErrorModel()
         )
 
     # -- state lifecycle ------------------------------------------------
@@ -1430,22 +1313,16 @@ class HybridCliffordBackend(SimulationBackend):
         if not isinstance(engine, StabilizerBackend):
             return engine
         try:
-            if self._pool is None:
+            if self._member_noise.pool is None:
                 state = engine.to_statevector(copy=False)
                 dense = StatevectorBackend().initialize(
                     engine.num_qubits, initial_state=state
                 )
             else:
-                # Carry the Pauli frames across the boundary: one tableau
-                # densification, then each member's frame applied on top.
-                members = engine.member_statevectors()
-                dense = self._new_dense_stage()
-                dense.initialize_from_members(members)
-                # Importance weights accumulated by the tableau stage carry
-                # over too — the dense stage keeps multiplying onto them.
-                weights = engine.member_weights()
-                if weights is not None:
-                    dense.set_member_weights(weights)
+                # One tableau densification, then each member's frame on top.
+                dense = self._new_dense_stage().initialize_from_members(
+                    engine.member_statevectors()
+                )
         except ValueError as exc:
             raise ValueError(
                 f"backend='auto' hit a non-Clifford gate on a "
@@ -1523,9 +1400,8 @@ class HybridCliffordBackend(SimulationBackend):
     # -- readout --------------------------------------------------------
 
     def member_weights(self) -> "np.ndarray | None":
-        """Per-member likelihood-ratio weights of the live stage (or None)."""
-        getter = getattr(self._require_engine(), "member_weights", None)
-        return None if getter is None else getter()
+        """Per-member likelihood-ratio weights, or ``None`` when unbiased."""
+        return self._member_noise.member_weights()
 
     def probabilities(self, qubits: Sequence[int] | None = None) -> np.ndarray:
         return self._require_engine().probabilities(qubits)

@@ -30,6 +30,15 @@ child stream.  A gate's events are drawn together, one uniform per event in
 event order, as one ``(members, events)`` block from a :class:`StreamPool`.
 Readout sampling draws from the *caller's* rng (the executor stream),
 exactly like every other backend.
+
+Member noise state
+------------------
+:class:`MemberNoise` is the one owner of everything a noisy ensemble member
+carries besides its quantum state: the noise model's samplers, the
+:class:`StreamPool` of per-member streams and, under importance sampling,
+the per-member likelihood-ratio weights.  The trajectory and tableau-frame
+backends each hold one; the hybrid backend hands the same instance to both
+of its stages, so streams and weights cross its conversion unchanged.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ from .measurement import ReadoutErrorModel
 from .noise import KrausChannel, NoiseModel, PauliChannelSampler
 from .statevector import Statevector, _as_rng
 
-__all__ = ["TrajectoryNoiseBackend", "spawn_trajectory_streams"]
+__all__ = ["MemberNoise", "TrajectoryNoiseBackend", "spawn_trajectory_streams"]
 
 
 def spawn_trajectory_streams(
@@ -83,9 +92,6 @@ class StreamPool:
     (refills touch a member only once per ``block`` of its own events).
     While no masked draw has split the members they share one buffer
     position, and a draw is a single column slice of the buffer.
-    The hybrid backend shares one pool across its tableau and dense stages,
-    which is what keeps a member's uniform sequence identical to a pure
-    trajectory walk of the same streams.
     """
 
     _BLOCK = 256
@@ -153,20 +159,10 @@ class StreamPool:
 
 
 def as_member_streams(
-    streams: "Sequence[np.random.Generator] | StreamPool", count: int
+    streams: Sequence[np.random.Generator], count: int
 ) -> StreamPool:
-    """Validate per-member noise streams and wrap them in a shared pool.
-
-    Accepts an existing :class:`StreamPool` (the hybrid backend threads one
-    pool through both of its stages) or a sequence of exactly ``count``
-    ``numpy.random.Generator`` instances.
-    """
-    if isinstance(streams, StreamPool):
-        if len(streams) != count:
-            raise ValueError(
-                f"need {count} rng streams, got {len(streams)}"
-            )
-        return streams
+    """Validate exactly ``count`` per-member ``numpy.random.Generator``
+    streams and wrap them in a pool."""
     streams = list(streams)
     if len(streams) != count:
         raise ValueError(f"need {count} rng streams, got {len(streams)}")
@@ -246,6 +242,112 @@ def iter_noise_events(
                 yield qubit, paulis
 
 
+class MemberNoise:
+    """The noise state every member of a trajectory ensemble carries.
+
+    Holds the noise model's samplers (:class:`PauliChannelSampler`), the
+    :class:`StreamPool` of per-member streams and, when a sampler is
+    importance-biased, the per-member likelihood-ratio ``weights`` (the
+    running product of the ratios of every event the member has drawn).
+    ``pool`` is ``None`` exactly when there is a single noiseless member,
+    which never draws.  Backends that share one instance share stream
+    positions and weights: the hybrid backend's tableau and dense stages do,
+    so a member's draws and weight are those of a pure trajectory walk
+    wherever the conversion lands.
+
+    Ensemble averages of per-member quantities go through :meth:`mixture`
+    and :meth:`shares`, which weight members by their likelihood ratios
+    whenever weights are live — the unweighted average would estimate the
+    *boosted* noise distribution instead of the true one.
+    """
+
+    __slots__ = ("noise", "batch_size", "samplers", "pool", "weights")
+
+    def __init__(
+        self,
+        noise: "NoiseModel | KrausChannel | Sequence[KrausChannel] | None" = None,
+        batch_size: int = 1,
+        rng_streams: Sequence[np.random.Generator] | None = None,
+        seed: "int | np.random.SeedSequence | None" = None,
+    ):
+        self.noise = NoiseModel.coerce(noise)
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+        self.batch_size = int(batch_size)
+        channels = self.noise.gate_channels if self.noise is not None else ()
+        boost = self.noise.importance_boost if self.noise is not None else None
+        try:
+            self.samplers = tuple(
+                PauliChannelSampler(
+                    channel.pauli_decomposition(), importance_boost=boost
+                )
+                for channel in channels
+            )
+        except ValueError as exc:
+            raise ValueError(
+                "trajectories and Pauli frames need Pauli-mixture gate "
+                f"channels; {exc}.  Non-Pauli channels (e.g. amplitude "
+                "damping) need the density-matrix backend."
+            ) from None
+        self.weights: np.ndarray | None = None
+        if any(sampler.is_biased for sampler in self.samplers):
+            self.weights = np.ones(self.batch_size)
+        self.pool: StreamPool | None = None
+        if self.samplers or self.batch_size > 1:
+            if rng_streams is not None:
+                self.pool = as_member_streams(rng_streams, self.batch_size)
+            else:
+                self.pool = StreamPool(
+                    spawn_trajectory_streams(seed, self.batch_size)
+                )
+
+    def reset(self) -> None:
+        """Start a new walk: every weight back to 1 (streams run on)."""
+        if self.weights is not None:
+            self.weights.fill(1.0)
+
+    def events(self, touched: Sequence[int], members: np.ndarray | None = None):
+        """One gate's noise events; see :func:`iter_noise_events`."""
+        return iter_noise_events(
+            self.samplers, touched, self.pool, self.batch_size, members,
+            weights=self.weights,
+        )
+
+    def member_weights(self) -> np.ndarray | None:
+        """A copy of the per-member weights, or ``None`` when unbiased."""
+        return None if self.weights is None else self.weights.copy()
+
+    def restore_weights(self, saved: "np.ndarray | None") -> None:
+        """Roll the weights back to an earlier :meth:`member_weights` copy."""
+        if (saved is None) != (self.weights is None):
+            raise ValueError(
+                "snapshot member weights do not match the noise model's "
+                "importance sampling"
+            )
+        if saved is not None:
+            saved = np.asarray(saved, dtype=float)
+            if saved.shape != self.weights.shape:
+                raise ValueError("snapshot does not match the member batch shape")
+            self.weights[:] = saved
+
+    def mixture(self, rows: np.ndarray) -> np.ndarray:
+        """Ensemble average of per-member ``rows`` (members on axis 0)."""
+        if self.weights is None:
+            return rows.mean(axis=0)
+        weights = self.weights.reshape((-1,) + (1,) * (rows.ndim - 1))
+        return (weights * rows).sum(axis=0) / self.weights.sum()
+
+    def shares(self, labels: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """The distinct per-member ``labels`` and each one's ensemble share."""
+        unique, inverse, counts = np.unique(
+            labels, return_inverse=True, return_counts=True
+        )
+        if self.weights is None:
+            return unique, counts / self.batch_size
+        shares = np.bincount(inverse.reshape(-1), weights=self.weights)
+        return unique, shares / self.weights.sum()
+
+
 class TrajectoryNoiseBackend(SimulationBackend):
     """Batched Pauli-trajectory backend (registry name ``"trajectory"``).
 
@@ -266,6 +368,10 @@ class TrajectoryNoiseBackend(SimulationBackend):
     readout_error:
         Native readout channel (applied to each member's outcome
         distribution before sampling); overrides the noise model's.
+    member_noise:
+        A :class:`MemberNoise` to share instead of building one from
+        ``noise``, ``batch_size``, ``rng_streams`` and ``seed`` (the hybrid
+        backend's stages share one).
     """
 
     name = "trajectory"
@@ -279,46 +385,20 @@ class TrajectoryNoiseBackend(SimulationBackend):
         rng_streams: Sequence[np.random.Generator] | None = None,
         seed: "int | np.random.SeedSequence | None" = None,
         readout_error: ReadoutErrorModel | None = None,
+        member_noise: MemberNoise | None = None,
     ):
         super().__init__()
-        if noise is None or isinstance(noise, NoiseModel):
-            self.noise = noise
-        else:
-            self.noise = NoiseModel.from_channels(noise)
+        if member_noise is None:
+            member_noise = MemberNoise(noise, batch_size, rng_streams, seed)
+        self._member_noise = member_noise
+        self.noise = member_noise.noise
         if readout_error is not None:
             self.readout_error = readout_error
         elif self.noise is not None:
             self.readout_error = self.noise.readout
         else:
             self.readout_error = ReadoutErrorModel()
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self._batch_size = int(batch_size)
-        channels = self.noise.gate_channels if self.noise is not None else ()
-        boost = self.noise.importance_boost if self.noise is not None else None
-        try:
-            self._samplers = tuple(
-                PauliChannelSampler(
-                    channel.pauli_decomposition(), importance_boost=boost
-                )
-                for channel in channels
-            )
-        except ValueError as exc:
-            raise ValueError(
-                "trajectory unraveling needs Pauli-mixture gate channels; "
-                f"{exc}.  Non-Pauli channels (e.g. amplitude damping) need "
-                "the density-matrix backend."
-            ) from None
-        self._biased = any(sampler.is_biased for sampler in self._samplers)
-        self._weights: np.ndarray | None = (
-            np.ones(self._batch_size) if self._biased else None
-        )
-        if rng_streams is not None:
-            self._pool = as_member_streams(rng_streams, self._batch_size)
-        else:
-            self._pool = StreamPool(
-                spawn_trajectory_streams(seed, self._batch_size)
-            )
+        self._batch_size = member_noise.batch_size
         self._batch: np.ndarray | None = None
         self._num_qubits: int | None = None
         if num_qubits is not None:
@@ -339,8 +419,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
             batch[:, 0] = 1.0
         self._batch = batch
         self._num_qubits = int(num_qubits)
-        if self._biased:
-            self._weights = np.ones(self._batch_size)
+        self._member_noise.reset()
         return self
 
     def initialize_from_members(
@@ -374,11 +453,9 @@ class TrajectoryNoiseBackend(SimulationBackend):
     def batch_size(self) -> int:
         return self._batch_size
 
-    def set_rng_streams(
-        self, streams: "Sequence[np.random.Generator] | StreamPool"
-    ) -> None:
+    def set_rng_streams(self, streams: Sequence[np.random.Generator]) -> None:
         """Install per-member noise streams (one Generator per member)."""
-        self._pool = as_member_streams(streams, self._batch_size)
+        self._member_noise.pool = as_member_streams(streams, self._batch_size)
 
     def member_weights(self) -> np.ndarray | None:
         """Per-member likelihood-ratio weights, or ``None`` when unbiased.
@@ -388,19 +465,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
         averages of per-member statistics must be weighted by them to stay
         unbiased estimates of the true (unbiased-noise) ensemble.
         """
-        return None if self._weights is None else self._weights.copy()
-
-    def set_member_weights(self, weights: "np.ndarray | None") -> None:
-        """Adopt accumulated weights (the hybrid conversion path)."""
-        if weights is None:
-            self._weights = np.ones(self._batch_size) if self._biased else None
-            return
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (self._batch_size,):
-            raise ValueError(
-                f"expected {self._batch_size} member weights, got {weights.shape}"
-            )
-        self._weights = weights.copy()
+        return self._member_noise.member_weights()
 
     def set_readout_error(self, model: ReadoutErrorModel | None) -> None:
         self.readout_error = model or ReadoutErrorModel()
@@ -408,29 +473,24 @@ class TrajectoryNoiseBackend(SimulationBackend):
     def snapshot(self) -> "np.ndarray | tuple[np.ndarray, np.ndarray]":
         """The batch, paired with the member weights when they are live."""
         batch = self._require_batch().copy()
-        if self._weights is None:
-            return batch
-        return batch, self._weights.copy()
+        weights = self._member_noise.member_weights()
+        return batch if weights is None else (batch, weights)
 
     def restore(self, token: object) -> "TrajectoryNoiseBackend":
         batch = self._require_batch()
         weights = None
-        if self._weights is not None:
+        if self._member_noise.weights is not None:
             try:
                 token, weights = token
             except (TypeError, ValueError):
                 raise ValueError(
                     "snapshot carries no member weights for this biased batch"
                 ) from None
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != self._weights.shape:
-                raise ValueError("snapshot does not match the current batch shape")
         data = np.asarray(token)
         if data.shape != batch.shape:
             raise ValueError("snapshot does not match the current batch shape")
+        self._member_noise.restore_weights(weights)
         batch[:] = data
-        if weights is not None:
-            self._weights[:] = weights
         return self
 
     # -- evolution ------------------------------------------------------
@@ -439,7 +499,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
         self, matrix: np.ndarray, qubits: Sequence[int]
     ) -> "TrajectoryNoiseBackend":
         batch = self._require_batch()
-        qubit_list = self._validated_qubits(qubits)
+        qubit_list = self._validated_qubits(qubits, self._num_qubits)
         matrix = self._validated_matrix(matrix, len(qubit_list))
         apply_matrix_batched(batch, self._num_qubits, matrix, qubit_list)
         self.gates_applied += 1
@@ -453,8 +513,8 @@ class TrajectoryNoiseBackend(SimulationBackend):
         targets: Sequence[int],
     ) -> "TrajectoryNoiseBackend":
         batch = self._require_batch()
-        control_list = self._validated_qubits(controls)
-        target_list = self._validated_qubits(targets)
+        control_list = self._validated_qubits(controls, self._num_qubits)
+        target_list = self._validated_qubits(targets, self._num_qubits)
         if set(control_list) & set(target_list):
             raise ValueError("control and target qubits overlap")
         matrix = self._validated_matrix(matrix, len(target_list))
@@ -469,14 +529,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
         self, touched: Sequence[int], members: np.ndarray | None = None
     ) -> None:
         """Sample and apply one Pauli per member per channel per touched qubit."""
-        for qubit, paulis in iter_noise_events(
-            self._samplers,
-            touched,
-            self._pool,
-            self._batch_size,
-            members,
-            weights=self._weights,
-        ):
+        for qubit, paulis in self._member_noise.events(touched, members):
             if np.any(paulis):
                 apply_pauli_batched(self._batch, qubit, paulis)
 
@@ -497,7 +550,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
         if qubits is None:
             rows = weights
         else:
-            qubit_list = self._validated_qubits(qubits)
+            qubit_list = self._validated_qubits(qubits, self._num_qubits)
             rows = np.stack(
                 [
                     marginal_probabilities(row, self._num_qubits, qubit_list)
@@ -516,13 +569,15 @@ class TrajectoryNoiseBackend(SimulationBackend):
 
     def probabilities(self, qubits: Sequence[int] | None = None) -> np.ndarray:
         """Trajectory-averaged ideal marginal (the density-matrix estimate)."""
-        return self.member_probabilities(qubits).mean(axis=0)
+        return self._member_noise.mixture(self.member_probabilities(qubits))
 
     def readout_probabilities(
         self, qubits: Sequence[int] | None = None
     ) -> np.ndarray:
         """Trajectory-averaged noisy-readout marginal."""
-        return self.member_probabilities(qubits, readout=True).mean(axis=0)
+        return self._member_noise.mixture(
+            self.member_probabilities(qubits, readout=True)
+        )
 
     def sample(
         self,
@@ -536,7 +591,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
         outcome is drawn from **each member's own distribution** — the
         trajectory-ensemble semantics, in which member ``m``'s sample is one
         noisy execution.  Any other shot count draws i.i.d. from the
-        batch-averaged mixture distribution instead.
+        (likelihood-ratio weighted) mixture distribution instead.
         """
         rng = _as_rng(rng)
         member_probs = self.member_probabilities(qubits, readout=True)
@@ -546,7 +601,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
             uniforms = rng.random(self._batch_size)
             outcomes = (cumulative < uniforms[:, None]).sum(axis=1)
             return np.minimum(outcomes, member_probs.shape[1] - 1)
-        averaged = member_probs.mean(axis=0)
+        averaged = self._member_noise.mixture(member_probs)
         averaged = averaged / averaged.sum()
         return rng.choice(len(averaged), size=shots, p=averaged)
 
@@ -569,7 +624,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
                 "use batch_size=1 (the executor's 'rerun' mode does)"
             )
         self._require_batch()
-        qubit_list = self._validated_qubits(qubits)
+        qubit_list = self._validated_qubits(qubits, self._num_qubits)
         rng = _as_rng(rng)
         probs = self.member_probabilities(qubit_list)[0]
         probs = probs / probs.sum()
@@ -593,7 +648,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
         backends, where the prep correction is an ordinary gate application.
         """
         batch = self._require_batch()
-        (qubit,) = self._validated_qubits([qubit])
+        (qubit,) = self._validated_qubits([qubit], self._num_qubits)
         value = int(value)
         view = (np.abs(batch) ** 2).reshape(
             self._batch_size, -1, 2, 1 << qubit
@@ -661,34 +716,11 @@ class TrajectoryNoiseBackend(SimulationBackend):
             raise RuntimeError("backend not initialised; call initialize() first")
         return self._batch
 
-    def _validated_qubits(self, qubits: Sequence[int]) -> list[int]:
-        if isinstance(qubits, (int, np.integer)):
-            qubits = [int(qubits)]
-        qubit_list = [int(q) for q in qubits]
-        if len(set(qubit_list)) != len(qubit_list):
-            raise ValueError(f"duplicate qubits in {qubit_list}")
-        for q in qubit_list:
-            if not 0 <= q < self._num_qubits:
-                raise ValueError(
-                    f"qubit index {q} out of range for {self._num_qubits} qubits"
-                )
-        return qubit_list
-
-    @staticmethod
-    def _validated_matrix(matrix: np.ndarray, num_targets: int) -> np.ndarray:
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (1 << num_targets, 1 << num_targets):
-            raise ValueError(
-                f"matrix of shape {matrix.shape} does not act on "
-                f"{num_targets} qubit(s)"
-            )
-        return matrix
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TrajectoryNoiseBackend(num_qubits={self._num_qubits}, "
             f"batch_size={self._batch_size}, "
-            f"channels={len(self._samplers)})"
+            f"channels={len(self._member_noise.samplers)})"
         )
 
 

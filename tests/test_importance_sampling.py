@@ -20,6 +20,7 @@ from repro.sim.measurement import MeasurementEnsemble
 from repro.sim.noise import (
     NoiseModel,
     PauliChannelSampler,
+    bit_flip,
     depolarizing,
     two_qubit_depolarizing,
 )
@@ -233,6 +234,64 @@ class TestSnapshotRestoresWeights:
             assert isinstance(token, np.ndarray)
         else:
             assert len(token) == 5  # tableau columns, phase, frame words
+
+
+class TestWeightedMixtures:
+    """Mixture readouts weight members by their likelihood ratios.
+
+    Ten X gates under ``bit_flip(0.01)`` boosted to 0.05: averaging the
+    members uniformly would estimate the boosted flip rate instead of the
+    true one.
+    """
+
+    RATE = 0.01
+    BOOSTED = NoiseModel.from_channels([bit_flip(RATE)], importance_boost=0.05)
+    #: P(1) after ten noisy X gates: an odd number of the ten flips.
+    TRUTH = 0.5 * (1.0 - (1.0 - 2.0 * RATE) ** 10)
+
+    @pytest.mark.parametrize("backend", ["trajectory", "stabilizer"])
+    def test_boosted_probabilities_estimate_the_true_mixture(self, backend):
+        from repro.sim import StabilizerBackend, TrajectoryNoiseBackend, gates
+
+        cls = {"trajectory": TrajectoryNoiseBackend, "stabilizer": StabilizerBackend}
+        estimates = []
+        for rep in range(100):
+            engine = cls[backend](1, noise=self.BOOSTED, batch_size=64, seed=SEED + rep)
+            for _ in range(10):
+                engine.apply_matrix(gates.X, [0])
+            estimates.append(engine.probabilities([0])[1])
+        se = np.std(estimates, ddof=1) / np.sqrt(len(estimates))
+        assert abs(np.mean(estimates) - self.TRUTH) <= 4.0 * se
+
+    def test_sampled_observable_matches_unboosted(self):
+        from repro import check_program
+        from repro.observables.pauli import PauliString
+
+        program = Program("boosted_observable")
+        register = program.qreg("q", 1)
+        for _ in range(10):
+            program.x(register[0])
+        z = PauliString.from_label("Z")
+        program.assert_observable(register, z, 1.0 - 2.0 * self.TRUTH, 0.05)
+
+        def estimates(noise):
+            return [
+                check_program(
+                    program,
+                    RunConfig(
+                        ensemble_size=16, seed=SEED + rep, backend="trajectory",
+                        noise=noise,
+                    ),
+                ).records[0].outcome.details["mean"]
+                for rep in range(40)
+            ]
+
+        boosted = estimates(self.BOOSTED)
+        plain = estimates(NoiseModel.from_channels([bit_flip(self.RATE)]))
+        se = np.hypot(
+            np.std(boosted, ddof=1), np.std(plain, ddof=1)
+        ) / np.sqrt(len(plain))
+        assert abs(np.mean(boosted) - np.mean(plain)) <= 4.0 * se
 
 
 # ----------------------------------------------------------------------

@@ -400,7 +400,7 @@ class TestStabilizerFrames:
         )
         backend.apply_matrix(gates.I, [0])  # certain X on qubit 0
         backend.noise = None
-        backend._samplers = ()
+        backend._member_noise.samplers = ()
         backend.apply_controlled(gates.X, [0], [1])  # frame X propagates
         np.testing.assert_allclose(
             backend.probabilities(), [0, 0, 0, 1]  # |11>
@@ -454,7 +454,7 @@ class TestStabilizerFrames:
         )
         backend.apply_matrix(gates.I, [0])  # all members flipped
         backend.noise = None
-        backend._samplers = ()
+        backend._member_noise.samplers = ()
         backend.prep_qubit(0, 0, rng=0)
         np.testing.assert_allclose(backend.probabilities([0]), [1.0, 0.0])
 
@@ -548,9 +548,16 @@ class TestHybridFrames:
         backend.apply_controlled(gates.X, [1], [2])  # dense tail
         return backend
 
-    def test_conversion_carries_frames(self):
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseModel.from_channels(depolarizing(0.15)),
+            NoiseModel.from_channels([depolarizing(0.01)], importance_boost=0.15),
+        ],
+        ids=["plain", "importance_boost"],
+    )
+    def test_conversion_carries_frames(self, noise):
         batch = 128
-        noise = NoiseModel.from_channels(depolarizing(0.15))
         hybrid = self._mixed_walk(
             HybridCliffordBackend(
                 3, noise=noise, batch_size=batch,
@@ -573,6 +580,12 @@ class TestHybridFrames:
             hybrid.sample([0, 1, 2], shots=batch, rng=1),
             dense.sample([0, 1, 2], shots=batch, rng=1),
         )
+        if noise.importance_boost is None:
+            assert hybrid.member_weights() is None
+        else:
+            np.testing.assert_array_equal(
+                hybrid.member_weights(), dense.member_weights()
+            )
 
     def test_cross_stage_restore_rebuilds_noisy_stage(self):
         noise = NoiseModel.from_channels(bit_flip(0.2))
