@@ -15,6 +15,7 @@ check.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from typing import Sequence
@@ -319,15 +320,96 @@ def _apply_qlint_comment(comment: str, program: Program) -> None:
     )
 
 
+#: Longest angle expression the importer evaluates (``repr`` of a float and
+#: the ``k*pi/2^m`` multiples the exporter writes stay far below it).
+_MAX_ANGLE_LENGTH = 64
+
+_ANGLE_TOKEN_RE = re.compile(
+    r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)|(?P<pi>pi)|(?P<op>[-+*/()])"
+)
+
+
 def _parse_angle(token: str) -> float:
-    token = token.strip().replace(" ", "")
-    safe = {"pi": math.pi, "__builtins__": {}}
-    if not re.fullmatch(r"[-+*/().\deEpi]+", token):
-        raise QasmError(f"cannot parse angle expression {token!r}")
+    return _evaluate_angle(token.strip().replace(" ", ""))
+
+
+@functools.lru_cache(maxsize=4096)
+def _evaluate_angle(text: str) -> float:
+    """Evaluate an angle expression over numbers, ``pi``, unary ``+``/``-``,
+    ``+ - * /`` and parentheses, with Python's precedence, left
+    associativity and number semantics (integer literals stay exact until a
+    float or a division meets them), so every angle the exporter writes
+    reads back as the float ``eval`` would give.  Anything else raises
+    :class:`QasmError`.
+    """
+    if len(text) > _MAX_ANGLE_LENGTH:
+        raise QasmError(
+            f"angle expression longer than {_MAX_ANGLE_LENGTH} characters"
+        )
+    tokens: list = []
+    position = 0
+    while position < len(text):
+        match = _ANGLE_TOKEN_RE.match(text, position)
+        if match is None:
+            raise QasmError(f"cannot parse angle expression {text!r}")
+        if match.group("number"):
+            number = match.group("number")
+            tokens.append(float(number) if number.strip("0123456789") else int(number))
+        elif match.group("pi"):
+            tokens.append(math.pi)
+        else:
+            tokens.append(match.group("op"))
+        position = match.end()
+    tokens.append(None)
+    cursor = 0
+
+    def peek():
+        return tokens[cursor]
+
+    def take():
+        nonlocal cursor
+        cursor += 1
+        return tokens[cursor - 1]
+
+    def expression():  # term (('+' | '-') term)*
+        value = term()
+        while peek() in ("+", "-"):
+            value = value + term() if take() == "+" else value - term()
+        return value
+
+    def term():  # unary (('*' | '/') unary)*
+        value = unary()
+        while peek() in ("*", "/"):
+            value = value * unary() if take() == "*" else value / unary()
+        return value
+
+    def unary():  # ('+' | '-')* atom
+        signs = []
+        while peek() in ("+", "-"):
+            signs.append(take())
+        value = atom()
+        for sign in reversed(signs):
+            value = +value if sign == "+" else -value
+        return value
+
+    def atom():  # number | pi | '(' expression ')'
+        token = take()
+        if token == "(":
+            value = expression()
+            if take() != ")":
+                raise QasmError(f"unbalanced parentheses in angle {text!r}")
+            return value
+        if token is None or isinstance(token, str):
+            raise QasmError(f"cannot parse angle expression {text!r}")
+        return token
+
     try:
-        return float(eval(token, safe))  # noqa: S307 - restricted charset above
-    except Exception as exc:  # pragma: no cover - defensive
-        raise QasmError(f"cannot evaluate angle expression {token!r}") from exc
+        value = expression()
+        if peek() is not None:
+            raise QasmError(f"cannot parse angle expression {text!r}")
+        return float(value)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise QasmError(f"cannot evaluate angle expression {text!r}: {exc}") from None
 
 
 def from_qasm(text: str, name: str = "imported") -> Program:

@@ -1154,28 +1154,34 @@ class StabilizerBackend(SimulationBackend):
             raise RuntimeError("stabilizer projection annihilated the probe state")
         return Statevector(n, amplitudes / norm)
 
-    def member_statevectors(self) -> np.ndarray:
-        """Dense ``(batch_size, 2**n)`` member states: tableau state + frames.
+    def member_statevectors(self) -> "tuple[np.ndarray, np.ndarray]":
+        """Dense member states: one row per distinct Pauli frame, plus the
+        member map ``row_of`` (member ``m`` holds row ``row_of[m]``).
 
-        This is the hybrid backend's conversion payload: the shared tableau
-        is densified **once**, then each member's Pauli frame is applied as
-        a signed amplitude permutation — O(2^n) per member on top of the
-        single reconstruction, never one reconstruction per member.
+        This is the hybrid backend's conversion payload, in the form
+        :meth:`TrajectoryNoiseBackend.initialize_from_members` adopts: the
+        shared tableau is densified **once**, then each distinct frame is
+        applied as a signed amplitude permutation — O(2^n) per distinct
+        frame on top of the single reconstruction, never one reconstruction
+        per member.
         """
         tableau = self._require_tableau()
         frames = self._frames
         if frames is None:
             frames = PauliFrameSet(self._batch_size, tableau.n)
         base = self.to_statevector_unchecked().data
-        x_masks, z_masks = frames.masks()
-        members = np.empty((self._batch_size, base.shape[0]), dtype=complex)
-        for member in range(self._batch_size):
-            x_mask, z_mask = int(x_masks[member]), int(z_masks[member])
+        distinct: "dict[tuple[int, int], int]" = {}
+        row_of = np.array(
+            [distinct.setdefault(masks, len(distinct)) for masks in zip(*frames.masks())],
+            dtype=np.intp,
+        )
+        rows = np.empty((len(distinct), base.shape[0]), dtype=complex)
+        for (x_mask, z_mask), row in distinct.items():
             if x_mask == 0 and z_mask == 0:
-                members[member] = base
+                rows[row] = base
             else:
-                members[member] = pauli_mask_kernel(base, x_mask, z_mask)
-        return members
+                rows[row] = pauli_mask_kernel(base, x_mask, z_mask)
+        return rows, row_of
 
     def to_statevector_unchecked(self) -> Statevector:
         """The shared tableau state, ignoring any Pauli frames."""
@@ -1319,9 +1325,9 @@ class HybridCliffordBackend(SimulationBackend):
                     engine.num_qubits, initial_state=state
                 )
             else:
-                # One tableau densification, then each member's frame on top.
+                # One tableau densification, then each distinct frame on top.
                 dense = self._new_dense_stage().initialize_from_members(
-                    engine.member_statevectors()
+                    *engine.member_statevectors()
                 )
         except ValueError as exc:
             raise ValueError(

@@ -10,14 +10,20 @@ density matrix.
 
 Batching
 --------
-The backend carries all ``B`` trajectory members as one stacked ``(B, 2^n)``
-C-contiguous array pushed through the batched kernels of
-:mod:`repro.sim.kernels`; a single walk of an execution plan therefore
-produces the whole noisy ensemble (the incremental executor sets
-``batch_size = ensemble_size`` and draws one readout sample per member at
-each breakpoint).  Unitary gates are identical across members — only the
-sampled Pauli insertions differ — which is what makes the stacked layout
-profitable: one vectorised kernel call per gate instead of ``B`` walks.
+The backend carries the ``B`` trajectory members copy-on-diverge: a
+preallocated ``(B, 2^n)`` C-contiguous store whose first ``rows`` rows are
+the distinct member states, and a ``row_of`` map from member to row.  One
+walk of an execution plan produces the whole noisy ensemble (the
+incremental executor sets ``batch_size = ensemble_size`` and draws one
+readout sample per member at each breakpoint).  Unitary gates are identical
+across members, so each gate is one call of the batched kernels of
+:mod:`repro.sim.kernels` over the distinct rows only.  A member gets a row
+of its own the moment it would differ from the members it shares one with:
+a noise event splits off the hit members of shared rows before applying
+per-row Paulis, and a prep collapse splits each outcome's members apart.
+``initialize`` starts from one row; readouts index through ``row_of``, so
+callers see ``(B, ...)`` results.  Snapshot tokens are ``(rows, row_of)``,
+plus the member weights when they are live.
 
 RNG-stream contract
 -------------------
@@ -26,10 +32,15 @@ Each trajectory member owns an independent rng stream (spawned via
 uniform per member from that member's stream.  Trajectories are therefore
 reproducible under any batch split: member ``m`` sees the same Pauli record
 whether it runs in a batch of 1 or of 256, as long as it is handed the same
-child stream.  A gate's events are drawn together, one uniform per event in
-event order, as one ``(members, events)`` block from a :class:`StreamPool`.
-Readout sampling draws from the *caller's* rng (the executor stream),
-exactly like every other backend.
+child stream, and which row it sits in never changes its state.  A gate's
+events are drawn together, one uniform per event in event order, as one
+``(members, events)`` block from a :class:`StreamPool`.  When, in lockstep,
+none of a gate's buffered uniforms reaches the smallest identity bound of
+the noise model, the pool skips them instead (:meth:`StreamPool.skip_quiet`):
+the draw would have consumed exactly those uniforms and sampled only
+identities.  Readout sampling and prep collapses draw from the *caller's*
+rng (the executor stream), in member order, exactly like every other
+backend.
 
 Member noise state
 ------------------
@@ -103,6 +114,10 @@ class StreamPool:
         # All positions start exhausted: members fill lazily on first draw.
         self._positions = np.full(count, self._BLOCK, dtype=np.int64)
         self._lockstep = True
+        # Per buffer column, the first column at or after it where some
+        # member's uniform reaches ``_quiet_bound``; rebuilt after a refill.
+        self._next_loud: "list[int] | None" = None
+        self._quiet_bound = 0.0
 
     def __len__(self) -> int:
         return len(self.streams)
@@ -136,6 +151,33 @@ class StreamPool:
         self._lockstep = bool((self._positions == self._positions[0]).all())
         return values
 
+    def skip_quiet(self, count: int, bound: float) -> bool:
+        """Advance every member past its next ``count`` uniforms without
+        drawing them, when all of them fall below ``bound``.
+
+        Returns whether it did.  The skip is taken only in lockstep and only
+        inside the current block: then the values a :meth:`draw` of
+        ``count`` would return are the buffer columns from the shared
+        position on, already known, and a caller whose every identity bound
+        is at least ``bound`` would sample nothing but identities from them.
+        Advancing the position leaves each stream exactly where that draw
+        would.
+        """
+        if not self._lockstep:
+            return False
+        start = int(self._positions[0])
+        if not 0 < count <= self._BLOCK - start:
+            return False
+        if self._next_loud is None or self._quiet_bound != bound:
+            loud = (self._buffer >= bound).any(axis=0)
+            columns = np.where(loud, np.arange(self._BLOCK), self._BLOCK)
+            self._next_loud = np.minimum.accumulate(columns[::-1])[::-1].tolist()
+            self._quiet_bound = bound
+        if self._next_loud[start] < start + count:
+            return False
+        self._positions[:] = start + count
+        return True
+
     def _read(
         self, rows: np.ndarray, start: int, count: int
     ) -> "tuple[np.ndarray, int]":
@@ -150,6 +192,7 @@ class StreamPool:
             if start >= self._BLOCK:
                 for member in rows:
                     self._buffer[member] = self.streams[member].random(self._BLOCK)
+                self._next_loud = None
                 start = 0
             take = min(count - filled, self._BLOCK - start)
             values[:, filled : filled + take] = self._buffer[rows, start : start + take]
@@ -261,7 +304,10 @@ class MemberNoise:
     *boosted* noise distribution instead of the true one.
     """
 
-    __slots__ = ("noise", "batch_size", "samplers", "pool", "weights")
+    __slots__ = (
+        "noise", "batch_size", "samplers", "pool", "weights", "quiet_bound",
+        "_single", "_pair",
+    )
 
     def __init__(
         self,
@@ -292,6 +338,17 @@ class MemberNoise:
         self.weights: np.ndarray | None = None
         if any(sampler.is_biased for sampler in self.samplers):
             self.weights = np.ones(self.batch_size)
+        # A gate's events: one per (touched qubit, 1-qubit channel), plus
+        # the 2-qubit channels once when it touches two qubits.
+        self._single = sum(sampler.num_qubits == 1 for sampler in self.samplers)
+        self._pair = len(self.samplers) - self._single
+        # Uniforms below every sampler's identity bound sample no Pauli.  A
+        # live weight must still take each event's ratio, and a sampler
+        # without an identity component makes every uniform loud.
+        self.quiet_bound: float | None = None
+        if self.samplers and self.weights is None:
+            bound = min(sampler.identity_bound for sampler in self.samplers)
+            self.quiet_bound = bound if bound > 0.0 else None
         self.pool: StreamPool | None = None
         if self.samplers or self.batch_size > 1:
             if rng_streams is not None:
@@ -307,7 +364,18 @@ class MemberNoise:
             self.weights.fill(1.0)
 
     def events(self, touched: Sequence[int], members: np.ndarray | None = None):
-        """One gate's noise events; see :func:`iter_noise_events`."""
+        """One gate's noise events; see :func:`iter_noise_events`.
+
+        An unmasked gate whose uniforms are all quiet (below
+        :attr:`quiet_bound`) is served by :meth:`StreamPool.skip_quiet`
+        without a draw: it has no events, and the streams move on as the
+        draw would have moved them.
+        """
+        if members is None and self.quiet_bound is not None:
+            distinct = len(set(touched))
+            count = distinct * self._single + (self._pair if distinct >= 2 else 0)
+            if self.pool.skip_quiet(count, self.quiet_bound):
+                return ()
         return iter_noise_events(
             self.samplers, touched, self.pool, self.batch_size, members,
             weights=self.weights,
@@ -399,7 +467,12 @@ class TrajectoryNoiseBackend(SimulationBackend):
         else:
             self.readout_error = ReadoutErrorModel()
         self._batch_size = member_noise.batch_size
-        self._batch: np.ndarray | None = None
+        # Copy-on-diverge member states: rows ``[:_rows]`` of the
+        # preallocated ``(B, 2**n)`` store are the distinct states, and
+        # member ``m`` holds row ``_row_of[m]``.
+        self._store: np.ndarray | None = None
+        self._rows = 0
+        self._row_of = np.zeros(self._batch_size, dtype=np.intp)
         self._num_qubits: int | None = None
         if num_qubits is not None:
             self.initialize(num_qubits)
@@ -410,43 +483,54 @@ class TrajectoryNoiseBackend(SimulationBackend):
         self, num_qubits: int, initial_state: Statevector | None = None
     ) -> "TrajectoryNoiseBackend":
         dim = 1 << int(num_qubits)
-        batch = np.zeros((self._batch_size, dim), dtype=complex)
+        store = np.empty((self._batch_size, dim), dtype=complex)
         if initial_state is not None:
             if initial_state.num_qubits != num_qubits:
                 raise ValueError("initial state has the wrong number of qubits")
-            batch[:] = initial_state.data
+            store[0] = initial_state.data
         else:
-            batch[:, 0] = 1.0
-        self._batch = batch
+            store[0] = 0.0
+            store[0, 0] = 1.0
+        self._store, self._rows = store, 1
+        self._row_of[:] = 0
         self._num_qubits = int(num_qubits)
         self._member_noise.reset()
         return self
 
     def initialize_from_members(
-        self, members: np.ndarray
+        self, rows: np.ndarray, row_of: np.ndarray | None = None
     ) -> "TrajectoryNoiseBackend":
-        """Adopt explicit per-member states (the hybrid conversion path).
+        """Adopt explicit member states (the hybrid conversion path).
 
-        ``members`` must be ``(batch_size, 2**n)``; the rows are the already
-        diverged trajectory states (tableau state with each member's Pauli
-        frame applied).
+        ``rows`` is a ``(rows, 2**n)`` stack of distinct states and
+        ``row_of[m]`` the row member ``m`` holds; with ``row_of=None`` the
+        stack must be ``(batch_size, 2**n)``, one row per member, and is
+        adopted as is (equal rows stay separate).
         """
-        members = np.ascontiguousarray(np.asarray(members, dtype=complex))
-        if members.ndim != 2 or members.shape[0] != self._batch_size:
-            raise ValueError(
-                f"expected a ({self._batch_size}, 2**n) member stack, "
-                f"got shape {members.shape}"
-            )
-        num_qubits = members.shape[1].bit_length() - 1
-        if (1 << num_qubits) != members.shape[1]:
+        rows = np.asarray(rows, dtype=complex)
+        if row_of is None:
+            if rows.ndim != 2 or rows.shape[0] != self._batch_size:
+                raise ValueError(
+                    f"expected a ({self._batch_size}, 2**n) member stack, "
+                    f"got shape {rows.shape}"
+                )
+            row_of = np.arange(self._batch_size)
+        if rows.ndim != 2:
+            raise ValueError(f"expected a (rows, 2**n) stack, got shape {rows.shape}")
+        num_qubits = rows.shape[1].bit_length() - 1
+        if (1 << num_qubits) != rows.shape[1]:
             raise ValueError("member dimension is not a power of two")
-        self._batch = members
+        row_of = self._checked_row_map(row_of, rows.shape[0])
+        store = np.empty((self._batch_size, rows.shape[1]), dtype=complex)
+        store[: rows.shape[0]] = rows
+        self._store, self._rows = store, rows.shape[0]
+        self._row_of[:] = row_of
         self._num_qubits = num_qubits
         return self
 
     @property
     def num_qubits(self) -> int:
-        self._require_batch()
+        self._require_rows()
         return int(self._num_qubits)
 
     @property
@@ -470,27 +554,32 @@ class TrajectoryNoiseBackend(SimulationBackend):
     def set_readout_error(self, model: ReadoutErrorModel | None) -> None:
         self.readout_error = model or ReadoutErrorModel()
 
-    def snapshot(self) -> "np.ndarray | tuple[np.ndarray, np.ndarray]":
-        """The batch, paired with the member weights when they are live."""
-        batch = self._require_batch().copy()
+    def snapshot(self) -> tuple:
+        """``(rows, row_of)``, plus the member weights when they are live."""
+        token = (self._require_rows().copy(), self._row_of.copy())
         weights = self._member_noise.member_weights()
-        return batch if weights is None else (batch, weights)
+        return token if weights is None else token + (weights,)
 
     def restore(self, token: object) -> "TrajectoryNoiseBackend":
-        batch = self._require_batch()
-        weights = None
-        if self._member_noise.weights is not None:
-            try:
-                token, weights = token
-            except (TypeError, ValueError):
-                raise ValueError(
-                    "snapshot carries no member weights for this biased batch"
-                ) from None
-        data = np.asarray(token)
-        if data.shape != batch.shape:
+        self._require_rows()
+        weighted = self._member_noise.weights is not None
+        try:
+            rows, row_of, *weights = token
+        except (TypeError, ValueError):
+            raise ValueError("not a trajectory snapshot token") from None
+        if len(weights) != weighted:
+            raise ValueError(
+                "snapshot member weights do not match the noise model's "
+                "importance sampling"
+            )
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != self._store.shape[1]:
             raise ValueError("snapshot does not match the current batch shape")
-        self._member_noise.restore_weights(weights)
-        batch[:] = data
+        row_of = self._checked_row_map(row_of, rows.shape[0])
+        self._member_noise.restore_weights(weights[0] if weighted else None)
+        self._store[: rows.shape[0]] = rows
+        self._rows = rows.shape[0]
+        self._row_of[:] = row_of
         return self
 
     # -- evolution ------------------------------------------------------
@@ -498,10 +587,10 @@ class TrajectoryNoiseBackend(SimulationBackend):
     def apply_matrix(
         self, matrix: np.ndarray, qubits: Sequence[int]
     ) -> "TrajectoryNoiseBackend":
-        batch = self._require_batch()
+        rows = self._require_rows()
         qubit_list = self._validated_qubits(qubits, self._num_qubits)
         matrix = self._validated_matrix(matrix, len(qubit_list))
-        apply_matrix_batched(batch, self._num_qubits, matrix, qubit_list)
+        apply_matrix_batched(rows, self._num_qubits, matrix, qubit_list)
         self.gates_applied += 1
         self._apply_gate_noise(qubit_list)
         return self
@@ -512,14 +601,14 @@ class TrajectoryNoiseBackend(SimulationBackend):
         controls: Sequence[int],
         targets: Sequence[int],
     ) -> "TrajectoryNoiseBackend":
-        batch = self._require_batch()
+        rows = self._require_rows()
         control_list = self._validated_qubits(controls, self._num_qubits)
         target_list = self._validated_qubits(targets, self._num_qubits)
         if set(control_list) & set(target_list):
             raise ValueError("control and target qubits overlap")
         matrix = self._validated_matrix(matrix, len(target_list))
         apply_controlled_batched(
-            batch, self._num_qubits, matrix, control_list, target_list
+            rows, self._num_qubits, matrix, control_list, target_list
         )
         self.gates_applied += 1
         self._apply_gate_noise(control_list + target_list)
@@ -531,7 +620,31 @@ class TrajectoryNoiseBackend(SimulationBackend):
         """Sample and apply one Pauli per member per channel per touched qubit."""
         for qubit, paulis in self._member_noise.events(touched, members):
             if np.any(paulis):
-                apply_pauli_batched(self._batch, qubit, paulis)
+                self._apply_member_paulis(qubit, paulis)
+
+    def _apply_member_paulis(self, qubit: int, paulis: np.ndarray) -> None:
+        """Apply Pauli ``paulis[m]`` to qubit ``qubit`` of each member ``m``."""
+        if self._rows < self._batch_size:
+            self._split(paulis)
+        row_paulis = np.zeros(self._rows, dtype=np.int64)
+        row_paulis[self._row_of] = paulis
+        apply_pauli_batched(self._require_rows(), qubit, row_paulis)
+
+    def _split(self, codes: np.ndarray) -> None:
+        """Copy-on-diverge: give members their own rows until every row's
+        members share one entry of the per-member ``codes``.
+
+        In each row that holds differing codes, the members with the
+        smallest code (the unhit ones, code 0, when there are any) keep the
+        row and each other code's members move to a fresh copy of it.
+        """
+        for row in np.unique(self._row_of[codes != 0]):
+            members = np.flatnonzero(self._row_of == row)
+            shared = codes[members]
+            for code in np.unique(shared)[1:]:
+                self._store[self._rows] = self._store[row]
+                self._row_of[members[shared == code]] = self._rows
+                self._rows += 1
 
     # -- readout --------------------------------------------------------
 
@@ -542,10 +655,9 @@ class TrajectoryNoiseBackend(SimulationBackend):
 
         With ``readout=True`` each member's ideal marginal is pushed through
         the readout confusion matrix, giving the exact noisy distribution of
-        that trajectory.
+        that trajectory.  Each distinct row is reduced once.
         """
-        batch = self._require_batch()
-        weights = np.abs(batch) ** 2
+        weights = np.abs(self._require_rows()) ** 2
         weights /= weights.sum(axis=1, keepdims=True)
         if qubits is None:
             rows = weights
@@ -565,7 +677,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
                     for row in rows
                 ]
             )
-        return rows
+        return rows[self._row_of]
 
     def probabilities(self, qubits: Sequence[int] | None = None) -> np.ndarray:
         """Trajectory-averaged ideal marginal (the density-matrix estimate)."""
@@ -623,13 +735,13 @@ class TrajectoryNoiseBackend(SimulationBackend):
                 "collapsing measurement of a trajectory batch is per-member; "
                 "use batch_size=1 (the executor's 'rerun' mode does)"
             )
-        self._require_batch()
+        self._require_rows()
         qubit_list = self._validated_qubits(qubits, self._num_qubits)
         rng = _as_rng(rng)
         probs = self.member_probabilities(qubit_list)[0]
         probs = probs / probs.sum()
         outcome = int(rng.choice(len(probs), p=probs))
-        self._project_member(0, qubit_list, outcome)
+        self._project_row(int(self._row_of[0]), qubit_list, outcome)
         return outcome
 
     def prep_qubit(
@@ -642,64 +754,64 @@ class TrajectoryNoiseBackend(SimulationBackend):
 
         Members whose qubit is already in a basis state are corrected
         exactly; members in superposition collapse on their own outcome
-        (consuming draws from the caller's rng in member order).  The
-        correcting X — when any member needs one — counts as one gate and
-        triggers gate noise on the prepped qubit, mirroring the single-state
-        backends, where the prep correction is an ordinary gate application.
+        (consuming draws from the caller's rng in member order), each
+        outcome's members on their own row.  The correcting X — when any
+        member needs one — counts as one gate and triggers gate noise on the
+        prepped qubit, mirroring the single-state backends, where the prep
+        correction is an ordinary gate application.
         """
-        batch = self._require_batch()
+        rows = self._require_rows()
         (qubit,) = self._validated_qubits([qubit], self._num_qubits)
         value = int(value)
-        view = (np.abs(batch) ** 2).reshape(
-            self._batch_size, -1, 2, 1 << qubit
-        )
+        view = (np.abs(rows) ** 2).reshape(self._rows, -1, 2, 1 << qubit)
         totals = view.sum(axis=(1, 2, 3))
         probability_one = view[:, :, 1, :].sum(axis=(1, 2)) / totals
-        current = (probability_one > 0.5).astype(np.int64)
+        current = (probability_one > 0.5).astype(np.int64)[self._row_of]
         uncertain = (probability_one > 1e-12) & (probability_one < 1.0 - 1e-12)
-        if np.any(uncertain):
+        collapsing = np.flatnonzero(uncertain[self._row_of])
+        if collapsing.size:
             rng = _as_rng(rng)
-            for member in np.flatnonzero(uncertain):
-                p1 = float(probability_one[member])
-                outcome = int(rng.choice(2, p=[1.0 - p1, p1]))
-                self._project_member(int(member), [qubit], outcome)
-                current[member] = outcome
+            for member in collapsing:
+                p1 = float(probability_one[self._row_of[member]])
+                current[member] = int(rng.choice(2, p=[1.0 - p1, p1]))
+            self._split(current)
+            for row in np.unique(self._row_of[collapsing]):
+                outcome = current[np.flatnonzero(self._row_of == row)[0]]
+                self._project_row(int(row), [qubit], int(outcome))
         flips = current != value
         if np.any(flips):
-            apply_pauli_batched(batch, qubit, flips.astype(np.int64))
+            self._apply_member_paulis(qubit, flips.astype(np.int64))
             self.gates_applied += 1
             # Only the corrected members ran an X, so only they pick up the
             # correction's gate noise (and consume a stream draw).
             self._apply_gate_noise([qubit], members=flips)
         return self
 
-    def _project_member(
-        self, member: int, qubits: Sequence[int], outcome: int
-    ) -> None:
+    def _project_row(self, row: int, qubits: Sequence[int], outcome: int) -> None:
         dim = 1 << self._num_qubits
         indices = np.arange(dim)
         keep = np.ones(dim, dtype=bool)
         for position, qubit in enumerate(qubits):
             bit = (outcome >> position) & 1
             keep &= ((indices >> qubit) & 1) == bit
-        projected = np.where(keep, self._batch[member], 0.0)
+        projected = np.where(keep, self._store[row], 0.0)
         norm = np.linalg.norm(projected)
         if norm < 1e-15:
             raise ValueError(
                 f"outcome {outcome} on qubits {list(qubits)} has zero "
-                f"probability in trajectory member {member}"
+                f"probability in trajectory row {row}"
             )
-        self._batch[member] = projected / norm
+        self._store[row] = projected / norm
 
     # -- conversion -----------------------------------------------------
 
     def member_statevector(self, member: int) -> Statevector:
         """Dense state of one trajectory member (always a copy — the member
-        row stays owned by the batch)."""
-        batch = self._require_batch()
+        row stays owned by the store)."""
+        self._require_rows()
         if not 0 <= member < self._batch_size:
             raise ValueError(f"member index {member} out of range")
-        return Statevector(self._num_qubits, batch[member])
+        return Statevector(self._num_qubits, self._store[self._row_of[member]])
 
     def to_statevector(self, copy: bool = True) -> Statevector:
         if self._batch_size != 1:
@@ -711,10 +823,24 @@ class TrajectoryNoiseBackend(SimulationBackend):
 
     # -- helpers --------------------------------------------------------
 
-    def _require_batch(self) -> np.ndarray:
-        if self._batch is None:
+    def _require_rows(self) -> np.ndarray:
+        """The live ``(rows, 2**n)`` block of distinct member states."""
+        if self._store is None:
             raise RuntimeError("backend not initialised; call initialize() first")
-        return self._batch
+        return self._store[: self._rows]
+
+    def _checked_row_map(self, row_of: object, count: int) -> np.ndarray:
+        """``row_of`` as a member -> row index array over ``count`` rows."""
+        row_of = np.asarray(row_of)
+        if not 1 <= count <= self._batch_size:
+            raise ValueError(
+                f"{count} member rows for a batch of {self._batch_size} members"
+            )
+        if row_of.shape != (self._batch_size,) or row_of.dtype.kind not in "iu":
+            raise ValueError("the member row map needs one row index per member")
+        if row_of.min() < 0 or row_of.max() >= count:
+            raise ValueError("the member row map points outside the stored rows")
+        return row_of.astype(np.intp)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -231,7 +231,9 @@ class TestSnapshotRestoresWeights:
         engine.apply_matrix(gates.H, [0])
         token = engine.snapshot()
         if backend == "trajectory":
-            assert isinstance(token, np.ndarray)
+            rows, row_of = token  # member rows and row map, no weights
+            assert isinstance(rows, np.ndarray)
+            assert isinstance(row_of, np.ndarray)
         else:
             assert len(token) == 5  # tableau columns, phase, frame words
 

@@ -1,13 +1,14 @@
 """Tests for OpenQASM 2.0 export and re-import."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from repro.algorithms.qft import append_qft
 from repro.lang import Program, QasmError, from_qasm, to_qasm
-from repro.lang.qasm import _format_angle
+from repro.lang.qasm import _format_angle, _parse_angle
 
 
 class TestExport:
@@ -179,3 +180,60 @@ class TestImport:
         text = "OPENQASM 2.0;\nqreg q[1];\nrz(import os) q[0];\n"
         with pytest.raises(QasmError):
             from_qasm(text)
+
+
+#: ``rz(9**9**8)`` once made the importer compute a power with hundreds of
+#: millions of digits; every one of these must fail fast and cleanly.
+HOSTILE_ANGLES = [
+    "9**9**8", "2**3", "pi*", "(pi", "pi)", "1/0", "e", "pi2", "2pi", "1e",
+    "__import__", "-", "()", "pi pi", "9" * 80,
+]
+
+
+class TestAngleParser:
+    @pytest.mark.parametrize("angle", HOSTILE_ANGLES)
+    def test_hostile_angle_raises_quickly(self, angle):
+        text = f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n"
+        start = time.perf_counter()
+        with pytest.raises(QasmError):
+            from_qasm(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_power_payload_rejected_at_service_submit(self):
+        from repro.service import LocalService
+
+        payload = {"program": "OPENQASM 2.0;\nqreg q[1];\nrz(9**9**8) q[0];\n"}
+        with LocalService(max_workers=1, root_seed=0) as service:
+            start = time.perf_counter()
+            with pytest.raises(QasmError):
+                service.submit_payload(payload)
+            assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "angle,value",
+        [
+            ("1+2*3-4/5", 1 + 2 * 3 - 4 / 5),
+            ("(1+2)*3", 9.0),
+            ("-pi/2", -math.pi / 2),
+            ("2*-pi", -2 * math.pi),
+            ("--pi", math.pi),
+            ("-(-(pi))/2", math.pi / 2),
+            ("1/3*pi", 1 / 3 * math.pi),
+            ("1.e3", 1000.0),
+            (".5", 0.5),
+            ("-1.25e-05", -1.25e-05),
+        ],
+    )
+    def test_precedence_and_associativity_follow_python(self, angle, value):
+        assert _parse_angle(angle) == value
+
+    def test_signed_zeros_follow_python_number_semantics(self):
+        assert math.copysign(1.0, _parse_angle("-0")) == 1.0  # int zero
+        assert math.copysign(1.0, _parse_angle("-0.0")) == -1.0
+
+    def test_exported_angles_read_back_exactly(self):
+        rng = np.random.default_rng(7)
+        values = [k * math.pi / d for k in range(-40, 41) for d in (1, 2, 8, 256)]
+        values += (rng.uniform(-10, 10, 200) * 10.0 ** rng.integers(-20, 3, 200)).tolist()
+        for value in values:
+            assert _parse_angle(_format_angle(value)) == value

@@ -320,7 +320,9 @@ class TestTrajectoryBackend:
         # which flips with probability 0.5 again -- so prep with a noiseless
         # model instead for the exactness check.
         clean = TrajectoryNoiseBackend(1, batch_size=128, seed=9)
-        clean._batch[:] = backend._batch  # adopt the diverged members
+        clean.initialize_from_members(  # adopt the diverged members
+            np.stack([backend.member_statevector(m).data for m in range(128)])
+        )
         clean.prep_qubit(0, 0, rng=0)
         np.testing.assert_allclose(clean.probabilities([0]), [1.0, 0.0])
 
@@ -465,7 +467,8 @@ class TestStabilizerFrames:
         backend.apply_matrix(gates.H, [0])
         with pytest.raises(ValueError, match="member_statevectors"):
             backend.to_statevector()
-        members = backend.member_statevectors()
+        rows, row_of = backend.member_statevectors()
+        members = rows[row_of]
         assert members.shape == (2, 4)
         # Each member: (|0>+|1>)/sqrt2 with an X flip on qubit 0 -> unchanged
         # up to phase; probabilities must match the plus state.
@@ -938,6 +941,418 @@ class TestPerGateDraw:
             assert _pauli_record(got, batch) == _pauli_record(expected, batch)
             np.testing.assert_array_equal(weights, expected_weights)
         assert not np.all(weights == 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Copy-on-diverge member rows
+# ---------------------------------------------------------------------------
+
+_T = gates.GATE_BUILDERS["rz"](np.pi / 4)
+
+#: Qubits 0-2 carry superpositions; qubits 3-4 stay in basis states (only X,
+#: CX among themselves and CZ from qubit 0 touch them), so their preps never
+#: collapse and are masked corrections of the members that noise flipped.
+_ROW_WALK = [
+    ("m", gates.H, (0,)), ("m", gates.H, (1,)), ("c", gates.X, (0,), (2,)),
+    ("m", _T, (2,)), ("m", gates.X, (3,)), ("c", gates.X, (3,), (4,)),
+    ("c", gates.Z, (0,), (3,)), ("m", gates.H, (2,)), ("p", 3, 0),
+    ("c", gates.X, (1,), (0,)), ("m", _T, (0,)), ("p", 4, 1),
+    ("c", gates.X, (4,), (3,)), ("m", gates.H, (1,)), ("p", 3, 1),
+] * 6
+
+_ROW_NOISES = {
+    "depolarizing": NoiseModel.from_channels(
+        [depolarizing(0.02), two_qubit_depolarizing(0.02)]
+    ),
+    "importance_boost": NoiseModel.from_channels(
+        [depolarizing(1e-3), two_qubit_depolarizing(1e-3)], importance_boost=0.02
+    ),
+}
+
+
+def _row_walk(backend, steps=_ROW_WALK, rng=None, after_step=None):
+    for step in steps:
+        kind = step[0]
+        if kind == "m":
+            backend.apply_matrix(step[1], step[2])
+        elif kind == "c":
+            backend.apply_controlled(step[1], step[2], step[3])
+        else:
+            backend.prep_qubit(step[1], step[2], rng=rng)
+        if after_step is not None:
+            after_step(backend)
+    return backend
+
+
+def _member_bytes(backend):
+    return [
+        backend.member_statevector(m).data.tobytes()
+        for m in range(backend.batch_size)
+    ]
+
+
+class TestMemberRows:
+    BATCH = 16
+
+    def _batch_and_alone(self, noise, walk):
+        batch = walk(
+            TrajectoryNoiseBackend(
+                noise=noise, batch_size=self.BATCH,
+                rng_streams=spawn_trajectory_streams(SEED, self.BATCH),
+            )
+        )
+        alone = [
+            walk(
+                TrajectoryNoiseBackend(
+                    noise=noise, batch_size=1,
+                    rng_streams=[spawn_trajectory_streams(SEED, self.BATCH)[m]],
+                )
+            )
+            for m in range(self.BATCH)
+        ]
+        return batch, alone
+
+    @pytest.mark.parametrize("noise", list(_ROW_NOISES), ids=list(_ROW_NOISES))
+    def test_each_member_equals_its_own_batch_one_walk(self, noise):
+        batch, alone = self._batch_and_alone(
+            _ROW_NOISES[noise], lambda b: _row_walk(b.initialize(5))
+        )
+        assert batch._rows > 1
+        for member, single in enumerate(alone):
+            assert _member_bytes(batch)[member] == _member_bytes(single)[0]
+        if noise == "importance_boost":
+            np.testing.assert_array_equal(
+                batch.member_weights(),
+                [single.member_weights()[0] for single in alone],
+            )
+
+    def test_multiplier_members_equal_their_batch_one_walks(self):
+        program = BUG_SCENARIOS["control_routing"].build_correct()
+        plan = build_execution_plan(program)
+
+        def walk(backend):
+            backend.initialize(program.num_qubits)
+            for segment in plan.segments:
+                run_instructions(program, segment.instructions, backend, rng=SEED)
+            return backend
+
+        batch, alone = self._batch_and_alone(_ROW_NOISES["depolarizing"], walk)
+        states = _member_bytes(batch)
+        assert all(
+            states[member] == _member_bytes(single)[0]
+            for member, single in enumerate(alone)
+        )
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    def test_collapses_from_shared_rows_equal_unshared_rows(self, noisy):
+        noise = _ROW_NOISES["depolarizing"] if noisy else None
+        steps = [
+            ("m", gates.H, (0,)), ("c", gates.X, (0,), (1,)), ("m", gates.H, (2,)),
+            ("p", 0, 1), ("m", _T, (1,)), ("m", gates.H, (1,)), ("p", 1, 0),
+            ("p", 2, 0), ("m", gates.H, (0,)), ("c", gates.X, (0,), (2,)),
+            ("p", 2, 1),
+        ] * 3
+
+        def backend():
+            return TrajectoryNoiseBackend(
+                noise=noise, batch_size=self.BATCH,
+                rng_streams=spawn_trajectory_streams(SEED, self.BATCH),
+            )
+
+        shared = _row_walk(backend().initialize(3), steps, rng=np.random.default_rng(4))
+        ground = np.zeros((self.BATCH, 8), dtype=complex)
+        ground[:, 0] = 1.0
+        unshared = _row_walk(
+            backend().initialize_from_members(ground), steps,
+            rng=np.random.default_rng(4),
+        )
+        assert unshared._rows == self.BATCH
+        assert shared._rows > 1
+        assert _member_bytes(shared) == _member_bytes(unshared)
+
+    @pytest.mark.parametrize("noise", list(_ROW_NOISES), ids=list(_ROW_NOISES))
+    def test_rows_never_exceed_distinct_trajectories(self, noise, monkeypatch):
+        # A trajectory is the sequence of noise events that hit a member.
+        # Equal states can come from different trajectories (an X on |+>,
+        # or the same Pauli from two channels of one gate), so rows are
+        # bounded by trajectories, and every distinct state needs a row.
+        import repro.sim.trajectory_backend as trajectory
+
+        records = [[] for _ in range(self.BATCH)]
+        sampled = trajectory.iter_noise_events
+        events = iter(range(10**9))
+
+        def recording(*args, **kwargs):
+            for qubit, paulis in sampled(*args, **kwargs):
+                event = next(events)
+                for member in np.flatnonzero(paulis):
+                    records[member].append((event, int(paulis[member])))
+                yield qubit, paulis
+
+        def check(backend):
+            trajectories = len({tuple(record) for record in records})
+            states = len(set(_member_bytes(backend)))
+            assert states <= backend._rows <= trajectories
+
+        monkeypatch.setattr(trajectory, "iter_noise_events", recording)
+        backend = TrajectoryNoiseBackend(
+            5, noise=_ROW_NOISES[noise], batch_size=self.BATCH, seed=SEED
+        )
+        _row_walk(backend, after_step=check)
+        assert backend._rows > 1
+
+    def test_restore_rolls_back_rows_and_weights(self):
+        backend = TrajectoryNoiseBackend(
+            5, noise=_ROW_NOISES["importance_boost"], batch_size=self.BATCH,
+            seed=SEED,
+        )
+        _row_walk(backend, _ROW_WALK[:15])
+        token = backend.snapshot()
+        rows, states, weights = (
+            backend._rows, _member_bytes(backend), backend.member_weights()
+        )
+        assert len(token) == 3
+        _row_walk(backend, _ROW_WALK[15:45])
+        assert backend._rows != rows
+        backend.restore(token)
+        assert backend._rows == rows
+        assert _member_bytes(backend) == states
+        np.testing.assert_array_equal(backend.member_weights(), weights)
+
+    def test_restore_rejects_malformed_tokens(self):
+        backend = TrajectoryNoiseBackend(2, noise=depolarizing(0.3), batch_size=4, seed=1)
+        backend.apply_matrix(gates.H, [0])
+        rows, row_of = backend.snapshot()
+        for bad in (
+            (rows, row_of + rows.shape[0]),  # map points past the rows
+            (rows, row_of[:3]),  # one entry short
+            (rows, row_of.astype(float)),
+            (np.zeros((5, 4)), np.zeros(4, dtype=int)),  # more rows than members
+            (rows[:, :2], row_of),  # wrong dimension
+            (rows, row_of, np.ones(4)),  # weights this batch does not carry
+            rows,
+        ):
+            with pytest.raises(ValueError):
+                backend.restore(bad)
+
+    def test_initialize_from_members_validates_the_map(self):
+        backend = TrajectoryNoiseBackend(batch_size=3)
+        state = np.array([[1.0, 0.0]], dtype=complex)
+        backend.initialize_from_members(state, np.zeros(3, dtype=int))
+        assert backend._rows == 1 and backend.num_qubits == 1
+        with pytest.raises(ValueError, match="row map"):
+            backend.initialize_from_members(state, np.array([0, 1, 0]))
+        with pytest.raises(ValueError, match="member stack"):
+            backend.initialize_from_members(state)
+
+    def test_hybrid_conversion_gives_one_row_per_distinct_frame(self):
+        batch = 32
+        hybrid = HybridCliffordBackend(
+            4, noise=NoiseModel.from_channels(depolarizing(0.05)),
+            batch_size=batch, seed=SEED,
+        )
+        hybrid.apply_matrix(gates.H, [0])
+        for target in (1, 2, 3):
+            hybrid.apply_controlled(gates.X, [0], [target])
+        tableau = hybrid.active_engine
+        frames = set(zip(*tableau.frames.masks()))
+        assert 1 < len(frames) < batch
+        rows, row_of = tableau.member_statevectors()
+        assert len(rows) == len(frames)
+        dense = hybrid._densify()
+        assert dense._rows == len(frames)
+        np.testing.assert_allclose(
+            dense.member_probabilities(), np.abs(rows[row_of]) ** 2, atol=1e-12
+        )
+
+
+# ---------------------------------------------------------------------------
+# Quiet-gate skips in the stream pool
+# ---------------------------------------------------------------------------
+
+
+class TestQuietSkips:
+    def _noise(self, channels, batch=8, importance_boost=None):
+        from repro.sim.trajectory_backend import MemberNoise
+
+        model = NoiseModel.from_channels(channels, importance_boost=importance_boost)
+        return MemberNoise(
+            model, batch, rng_streams=spawn_trajectory_streams(SEED, batch)
+        )
+
+    def test_pool_after_skips_equals_a_pool_of_plain_draws(self):
+        from repro.sim.trajectory_backend import StreamPool, iter_noise_events
+
+        noise = self._noise([depolarizing(0.002), two_qubit_depolarizing(0.002)])
+        plain = StreamPool(spawn_trajectory_streams(SEED, 8))
+        masks = np.random.default_rng(SEED).random((len(_GATES), 8)) < 0.3
+        taken = []
+        skip = noise.pool.skip_quiet
+        noise.pool.skip_quiet = lambda *args: taken.append(skip(*args)) or taken[-1]
+        for index, (touched, mask) in enumerate(_GATES * 3):
+            members = None if mask is None else masks[index % len(_GATES)]
+            got = list(noise.events(touched, members))
+            expected = list(
+                iter_noise_events(noise.samplers, touched, plain, 8, members)
+            )
+            assert _pauli_record(got, 8) == _pauli_record(expected, 8)
+            np.testing.assert_array_equal(noise.pool._positions, plain._positions)
+            np.testing.assert_array_equal(noise.pool._buffer, plain._buffer)
+            assert noise.pool._lockstep == plain._lockstep
+        assert any(taken) and not all(taken)
+
+    def _count_samples(self, monkeypatch):
+        """Record every call of the sampler ``MemberNoise.events`` makes."""
+        import repro.sim.trajectory_backend as trajectory
+
+        calls = []
+        sampled = trajectory.iter_noise_events
+        monkeypatch.setattr(
+            trajectory, "iter_noise_events",
+            lambda *args, **kwargs: calls.append(1) or sampled(*args, **kwargs),
+        )
+        return calls
+
+    def test_quiet_gates_never_reach_the_sampler(self, monkeypatch):
+        calls = self._count_samples(monkeypatch)
+        noise = self._noise([depolarizing(1e-9)])
+        for _ in range(100):
+            assert list(noise.events([0, 1])) == []
+        # Only the first gate draws: it finds the block exhausted.
+        assert len(calls) == 1
+
+    def test_not_taken_under_live_weights(self, monkeypatch):
+        noise = self._noise([depolarizing(1e-9)], importance_boost=0.01)
+        assert noise.weights is not None and noise.quiet_bound is None
+        calls = self._count_samples(monkeypatch)
+        for _ in range(5):
+            list(noise.events([0]))
+        assert len(calls) == 5
+        assert not np.all(noise.weights == 1.0)  # every event took its ratio
+
+    def test_not_taken_for_masked_members(self, monkeypatch):
+        noise = self._noise([depolarizing(1e-9)])
+        list(noise.events([0]))
+        calls = self._count_samples(monkeypatch)
+        list(noise.events([0], np.ones(8, dtype=bool)))
+        assert len(calls) == 1
+
+    def test_not_taken_out_of_lockstep(self, monkeypatch):
+        noise = self._noise([depolarizing(1e-9)])
+        noise.pool.draw(np.array([1, 2]))
+        assert not noise.pool._lockstep
+        calls = self._count_samples(monkeypatch)
+        list(noise.events([0]))
+        assert len(calls) == 1
+        assert not noise.pool.skip_quiet(1, noise.quiet_bound)
+
+    def test_not_taken_across_a_refill(self, monkeypatch):
+        noise = self._noise([depolarizing(1e-9)])
+        noise.pool.draw(count=noise.pool._BLOCK - 1)  # one column left
+        calls = self._count_samples(monkeypatch)
+        list(noise.events([0, 1]))  # needs two
+        assert len(calls) == 1
+        assert noise.pool._positions[0] == 1  # read on into the next block
+
+    def test_not_taken_without_an_identity_component(self, monkeypatch):
+        noise = self._noise([bit_flip(1.0)])
+        assert noise.quiet_bound is None
+        calls = self._count_samples(monkeypatch)
+        for _ in range(3):
+            assert len(list(noise.events([0]))) == 1
+        assert len(calls) == 3
+
+    def test_loud_column_inside_the_block_stops_the_skip(self):
+        from repro.sim.trajectory_backend import StreamPool
+
+        pool = StreamPool(spawn_trajectory_streams(SEED, 4))
+        pool.draw()
+        loud = 10
+        pool._buffer[2, loud] = 0.999
+        pool._next_loud = None  # the buffer was edited by hand
+        assert pool.skip_quiet(loud - 1, 0.99)
+        assert not pool.skip_quiet(1, 0.99)
+        assert pool._positions[0] == loud
+
+
+# ---------------------------------------------------------------------------
+# Golden seeded reports
+# ---------------------------------------------------------------------------
+
+_GOLDEN_NOISES = {
+    "depolarizing_1e-4": NoiseModel.from_channels([depolarizing(1e-4)]),
+    "depolarizing_1e-2": NoiseModel.from_channels([depolarizing(1e-2)]),
+    "boosted": NoiseModel.from_channels(
+        [depolarizing(1e-3), two_qubit_depolarizing(1e-3)], importance_boost=0.05
+    ),
+}
+
+#: sha256 of the seeded ``report.to_json()`` per (scenario, buggy, backend,
+#: noise, seed), pinned before member rows and quiet skips existed: a change
+#: to how trajectories are stored or drawn must not move any stream.
+_GOLDEN_REPORTS = {
+    ("control_routing", False, "trajectory", "depolarizing_1e-4", 0): "1e7ca14b070d256aac6d39675bdfd50974812ab0fe0e2a3ee508461d7bf06ce1",
+    ("control_routing", False, "trajectory", "depolarizing_1e-4", 1): "6ceb3d9e36bbd4227cc65f2d25bb7649fd4943c52060dad9a141bcb59e230836",
+    ("control_routing", False, "trajectory", "depolarizing_1e-2", 0): "65d0e5aff93df346046cf114d299d927a9f7edef3f774307afb4ecae195815fb",
+    ("control_routing", False, "trajectory", "depolarizing_1e-2", 1): "1da6ce8b9d252509b03d78c3a0b98f5a6093d391418bbf9b65dca8810fabf2d5",
+    ("control_routing", False, "trajectory", "boosted", 0): "c882de40553ef836b3f3b86faf4b17e87a08d2d2f53c8a8c29bf32e5f636f3ec",
+    ("control_routing", False, "trajectory", "boosted", 1): "3ed607116ba69897478eb7bd0df432c3e6876604887c3e1b4849edd3dd846ab2",
+    ("control_routing", False, "auto", "depolarizing_1e-4", 0): "1e7ca14b070d256aac6d39675bdfd50974812ab0fe0e2a3ee508461d7bf06ce1",
+    ("control_routing", False, "auto", "depolarizing_1e-4", 1): "6ceb3d9e36bbd4227cc65f2d25bb7649fd4943c52060dad9a141bcb59e230836",
+    ("control_routing", False, "auto", "depolarizing_1e-2", 0): "65d0e5aff93df346046cf114d299d927a9f7edef3f774307afb4ecae195815fb",
+    ("control_routing", False, "auto", "depolarizing_1e-2", 1): "1da6ce8b9d252509b03d78c3a0b98f5a6093d391418bbf9b65dca8810fabf2d5",
+    ("control_routing", False, "auto", "boosted", 0): "c882de40553ef836b3f3b86faf4b17e87a08d2d2f53c8a8c29bf32e5f636f3ec",
+    ("control_routing", False, "auto", "boosted", 1): "3ed607116ba69897478eb7bd0df432c3e6876604887c3e1b4849edd3dd846ab2",
+    ("control_routing", True, "trajectory", "depolarizing_1e-4", 0): "eefc7a6141f155fdb3c6595aed7bc4e9d705bb4a53954da512836cb2e1c65fdf",
+    ("control_routing", True, "trajectory", "depolarizing_1e-4", 1): "0e5562c155409f5a53501c99c59d3771b6888a4a8bcf6e7dbca629966f8fd428",
+    ("control_routing", True, "trajectory", "depolarizing_1e-2", 0): "6aab73f50b555f3d9cbfe74ae6e63ce54987b45807cfbc69a1ef83c31f76345d",
+    ("control_routing", True, "trajectory", "depolarizing_1e-2", 1): "73f9627f0779460597cad75160c1d28d0e1af8fcd6954c74d918dd2b8eb09023",
+    ("control_routing", True, "trajectory", "boosted", 0): "da9b9bf280b5a62081ad699e2d08558d388d252d8eb1b9b45c68a1a5d9c2b487",
+    ("control_routing", True, "trajectory", "boosted", 1): "c0e0a078da33dfebd63e804ea2c7757a1a629e53f73f3009f0e978bd3fa5be14",
+    ("control_routing", True, "auto", "depolarizing_1e-4", 0): "eefc7a6141f155fdb3c6595aed7bc4e9d705bb4a53954da512836cb2e1c65fdf",
+    ("control_routing", True, "auto", "depolarizing_1e-4", 1): "0e5562c155409f5a53501c99c59d3771b6888a4a8bcf6e7dbca629966f8fd428",
+    ("control_routing", True, "auto", "depolarizing_1e-2", 0): "6aab73f50b555f3d9cbfe74ae6e63ce54987b45807cfbc69a1ef83c31f76345d",
+    ("control_routing", True, "auto", "depolarizing_1e-2", 1): "73f9627f0779460597cad75160c1d28d0e1af8fcd6954c74d918dd2b8eb09023",
+    ("control_routing", True, "auto", "boosted", 0): "da9b9bf280b5a62081ad699e2d08558d388d252d8eb1b9b45c68a1a5d9c2b487",
+    ("control_routing", True, "auto", "boosted", 1): "c0e0a078da33dfebd63e804ea2c7757a1a629e53f73f3009f0e978bd3fa5be14",
+    ("missing_superposition", False, "trajectory", "depolarizing_1e-4", 0): "c7c8e63a84223c61dc98d74b266956ceca54c7e9c7cafc7f77c06ecf19e8b4dc",
+    ("missing_superposition", False, "trajectory", "depolarizing_1e-4", 1): "c8b0ae996189d3443e3a77ebcb81058f05dccbfeed61004d221e28ca1e024043",
+    ("missing_superposition", False, "trajectory", "depolarizing_1e-2", 0): "516eb74a81c077bbdda8c314613e5196774a755e17bb16196f7cbf6a119ef6a8",
+    ("missing_superposition", False, "trajectory", "depolarizing_1e-2", 1): "78683aa0752661c58e16e1beabc0ebf6ab00b43a405e712533c2b62975347d77",
+    ("missing_superposition", False, "trajectory", "boosted", 0): "773ced1e81ac2cb8b456eb6f5d0d85ccdce61fbfb00062978d2dde3e0d970f1f",
+    ("missing_superposition", False, "trajectory", "boosted", 1): "d7e3ae2280aa2e769f607cedbf706b6c09801f4a63ecfc771c81de2afd217840",
+    ("missing_superposition", False, "auto", "depolarizing_1e-4", 0): "c7c8e63a84223c61dc98d74b266956ceca54c7e9c7cafc7f77c06ecf19e8b4dc",
+    ("missing_superposition", False, "auto", "depolarizing_1e-4", 1): "c8b0ae996189d3443e3a77ebcb81058f05dccbfeed61004d221e28ca1e024043",
+    ("missing_superposition", False, "auto", "depolarizing_1e-2", 0): "40588325515f7149fbe3b6a298b68583f05667bfa5b5fde30066ddbd9f608c75",
+    ("missing_superposition", False, "auto", "depolarizing_1e-2", 1): "c9947b93d5100ac364975b05f256b6abfe8692a0110f475baa2ff210b608bf33",
+    ("missing_superposition", False, "auto", "boosted", 0): "dc2a5431dba83732615a4af4aab46b1741821078f59a613092b7faf1738bbaf2",
+    ("missing_superposition", False, "auto", "boosted", 1): "c99fc907118d305c1f38f156d47aef00edcf2538154a13791826d2072417cff1",
+    ("missing_superposition", True, "trajectory", "depolarizing_1e-4", 0): "88a4f4ceebd45ec6d4784665aedea5cd31b4cd40f143629c110815c9928c1b3d",
+    ("missing_superposition", True, "trajectory", "depolarizing_1e-4", 1): "88a4f4ceebd45ec6d4784665aedea5cd31b4cd40f143629c110815c9928c1b3d",
+    ("missing_superposition", True, "trajectory", "depolarizing_1e-2", 0): "88a4f4ceebd45ec6d4784665aedea5cd31b4cd40f143629c110815c9928c1b3d",
+    ("missing_superposition", True, "trajectory", "depolarizing_1e-2", 1): "88a4f4ceebd45ec6d4784665aedea5cd31b4cd40f143629c110815c9928c1b3d",
+    ("missing_superposition", True, "trajectory", "boosted", 0): "01ba52eaf0d36bb23d63590e64e3171467bfa7bb76f1463c465377c3f640e89b",
+    ("missing_superposition", True, "trajectory", "boosted", 1): "88a4f4ceebd45ec6d4784665aedea5cd31b4cd40f143629c110815c9928c1b3d",
+    ("missing_superposition", True, "auto", "depolarizing_1e-4", 0): "88a4f4ceebd45ec6d4784665aedea5cd31b4cd40f143629c110815c9928c1b3d",
+    ("missing_superposition", True, "auto", "depolarizing_1e-4", 1): "88a4f4ceebd45ec6d4784665aedea5cd31b4cd40f143629c110815c9928c1b3d",
+    ("missing_superposition", True, "auto", "depolarizing_1e-2", 0): "88a4f4ceebd45ec6d4784665aedea5cd31b4cd40f143629c110815c9928c1b3d",
+    ("missing_superposition", True, "auto", "depolarizing_1e-2", 1): "88a4f4ceebd45ec6d4784665aedea5cd31b4cd40f143629c110815c9928c1b3d",
+    ("missing_superposition", True, "auto", "boosted", 0): "01ba52eaf0d36bb23d63590e64e3171467bfa7bb76f1463c465377c3f640e89b",
+    ("missing_superposition", True, "auto", "boosted", 1): "88a4f4ceebd45ec6d4784665aedea5cd31b4cd40f143629c110815c9928c1b3d",
+}
+
+
+class TestGoldenSeededReports:
+    @pytest.mark.parametrize("cell", list(_GOLDEN_REPORTS), ids=str)
+    def test_report_digest_is_pinned(self, cell):
+        import hashlib
+
+        name, buggy, backend, noise, seed = cell
+        scenario = BUG_SCENARIOS[name]
+        program = scenario.build_buggy() if buggy else scenario.build_correct()
+        config = RunConfig(seed=seed, backend=backend, noise=_GOLDEN_NOISES[noise])
+        text = check_program(program, config).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_REPORTS[cell]
 
 
 # ---------------------------------------------------------------------------
