@@ -23,7 +23,7 @@ def job_rows(jobs):
     return [
         {
             "job": job.id,
-            "program": job.program.name,
+            "program": job.program_name,
             "state": job.state,
             "attempts": job.attempts,
             "failures": "; ".join(

@@ -10,7 +10,8 @@ immediately, poll or wait for the :class:`~repro.core.report.DebugReport`::
         job = svc.wait(job_id)
         assert job.state == "DONE" and job.report.passed
 
-Behind it: a priority queue feeding subprocess workers with per-job
+Behind it: a priority queue feeding reusable subprocess workers (forked
+once, retired after a fault or a fixed number of attempts) with per-job
 ``SeedSequence``-derived seeds, per-job wall-clock timeouts (SIGKILL →
 ``TIMEOUT``), retry with exponential backoff for crashed workers, a
 content-addressed result cache, inline static-analyzer answers, a
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 __all__ = [
     "LocalService",
+    "ServiceClosed",
     "Job",
     "JobState",
     "RetryPolicy",
@@ -43,6 +45,7 @@ __all__ = [
 
 _EXPORTS = {
     "LocalService": ("jobs", "LocalService"),
+    "ServiceClosed": ("jobs", "ServiceClosed"),
     "Job": ("jobs", "Job"),
     "JobState": ("jobs", "JobState"),
     "RetryPolicy": ("workers", "RetryPolicy"),

@@ -22,21 +22,30 @@ DELETE    ``/jobs/<id>``              cancel the job (withdraw if queued,
 GET       ``/stats``                  service counters
 ========  ==========================  ========================================
 
-Client errors (bad JSON, bad QASM, unknown config keys) are ``400`` with the
-exception text; an unknown job id is ``404``.  Submissions are answered with
-the job id *before* any work happens — the asynchrony contract.
+Client errors (bad JSON, bad QASM, unknown config keys, a bad
+``Content-Length`` or ``?timeout=``) are ``400`` with the exception text; a
+body over :data:`MAX_BODY_BYTES` is ``413``; an unknown job id is ``404``; a
+submission to a closed service is ``503``; any other fault in a handler is a
+``500``.  Every answer is a JSON body — a request never ends in a dropped
+connection.  Submissions are answered with the job id *before* any work
+happens — the asynchrony contract.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from .jobs import LocalService
+from .jobs import LocalService, ServiceClosed
 
-__all__ = ["ServiceServer", "serve_http"]
+__all__ = ["MAX_BODY_BYTES", "ServiceServer", "serve_http"]
+
+#: Largest ``POST /jobs`` body accepted; the 11-qubit modular multiplier's
+#: QASM is about 42 KB.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
@@ -55,23 +64,48 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    # -- routes ----------------------------------------------------------
+    def _handle(self, route) -> None:
+        """Run ``route``; a fault it did not answer itself becomes a 500."""
+        try:
+            route()
+        except Exception as exc:  # noqa: BLE001 - never drop a connection
+            self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
+        self._handle(self._post)
+
+    def do_DELETE(self) -> None:  # noqa: N802 - stdlib casing
+        self._handle(self._delete)
+
+    def do_GET(self) -> None:  # noqa: N802 - stdlib casing
+        self._handle(self._get)
+
+    # -- routes ----------------------------------------------------------
+
+    def _post(self) -> None:
         parsed = urlparse(self.path)
         if parsed.path.rstrip("/") != "/jobs":
             self._send(404, {"error": f"no such route {parsed.path!r}"})
             return
         try:
             length = int(self.headers.get("Content-Length", 0))
+            if length < 0:
+                raise ValueError(f"bad Content-Length {length}")
+            if length > MAX_BODY_BYTES:
+                error = f"body of {length} bytes is over {MAX_BODY_BYTES}"
+                self._send(413, {"error": error})
+                return
             payload = json.loads(self.rfile.read(length) or b"{}")
             job_id = self.server.service.submit_payload(payload)
+        except ServiceClosed as exc:
+            self._send(503, {"error": str(exc)})
+            return
         except (ValueError, TypeError, KeyError) as exc:
             self._send(400, {"error": str(exc)})
             return
         self._send(202, {"job_id": job_id})
 
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib casing
+    def _delete(self) -> None:
         parsed = urlparse(self.path)
         parts = [part for part in parsed.path.split("/") if part]
         if len(parts) != 2 or parts[0] != "jobs":
@@ -84,7 +118,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
         self._send(200, job.to_dict(include_report=False))
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib casing
+    def _get(self) -> None:
         parsed = urlparse(self.path)
         parts = [part for part in parsed.path.split("/") if part]
         service = self.server.service
@@ -112,7 +146,14 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             query = parse_qs(parsed.query)
             timeout = None
             if "timeout" in query:
-                timeout = float(query["timeout"][0])
+                text = query["timeout"][0]
+                try:
+                    timeout = float(text)
+                except ValueError:
+                    timeout = math.nan
+                if not math.isfinite(timeout) or timeout < 0:
+                    self._send(400, {"error": f"bad timeout {text!r}"})
+                    return
             try:
                 job = service.wait(job.id, timeout=timeout)
             except TimeoutError:

@@ -21,9 +21,11 @@ made JSON-round-trippable.  Fault tolerance is the first-class design axis:
   produce a ``FAILED`` job carrying the full per-attempt failure chain —
   never a lost job, never a hung client.  Worker-*reported* exceptions are
   deterministic and fail fast without burning retries;
-* **self-healing pool** — each attempt runs in a fresh subprocess
-  (:mod:`~repro.service.workers`), so a dead worker is detected by its own
-  exit and the next attempt simply forks a new one; the queue never drains;
+* **self-healing pool** — each service owns a
+  :class:`~repro.service.workers.WorkerPool` of forked workers reused
+  across attempts; a worker that crashed, timed out, was cancelled or
+  reported an exception leaves the pool, and the next attempt gets a fresh
+  fork, so the queue never drains;
 * **graceful degradation** — the content-addressed
   :class:`~repro.service.result_cache.ResultCache` answers repeat jobs as
   ``CACHED`` and the static analyzer answers fully decidable
@@ -54,11 +56,15 @@ from ..core.report import DebugReport
 from ..lang.program import Program
 from ..lang.qasm import from_qasm
 from .faults import FaultInjector
-from .queue import PriorityJobQueue
+from .queue import PriorityJobQueue, QueueClosed
 from .result_cache import ResultCache
-from .workers import RetryPolicy, run_attempt, worker_context
+from .workers import RetryPolicy, WorkerPool, run_attempt
 
-__all__ = ["JobState", "Job", "LocalService"]
+__all__ = ["JobState", "Job", "LocalService", "ServiceClosed"]
+
+
+class ServiceClosed(RuntimeError):
+    """A submission to a service that has been closed."""
 
 
 class JobState:
@@ -85,7 +91,7 @@ class Job:
 
     id: str
     index: int
-    program: Program
+    program_name: str
     config: RunConfig
     priority: int = 0
     state: str = JobState.QUEUED
@@ -99,6 +105,7 @@ class Job:
     cache_key: str = ""
     submitted_at: float = 0.0
     finished_at: "float | None" = None
+    #: The pickled program, held only while the job waits for a worker.
     _program_bytes: bytes = b""
     _config_json: str = ""
     _done: threading.Event = field(default_factory=threading.Event)
@@ -116,7 +123,7 @@ class Job:
             "state": self.state,
             "priority": self.priority,
             "attempts": self.attempts,
-            "program_name": self.program.name,
+            "program_name": self.program_name,
             "terminal": self.terminal,
             "failure_chain": [dict(entry) for entry in self.failure_chain],
             "submitted_at": self.submitted_at,
@@ -182,7 +189,7 @@ class LocalService:
         self._counter = itertools.count()
         self._closed = False
         self._poll_interval = float(poll_interval)
-        self._ctx = worker_context()
+        self._pool = WorkerPool()
         self._active_threads: "set[threading.Thread]" = set()
         #: Jobs answered without a worker, by rung (observability).
         self.inline_answers = {"cached": 0, "static": 0}
@@ -216,7 +223,7 @@ class LocalService:
         """
         with self._lock:
             if self._closed:
-                raise RuntimeError("service is closed")
+                raise ServiceClosed("service is closed")
             index = next(self._counter)
         if isinstance(program, str):
             program = from_qasm(program, name=f"job-{index}")
@@ -237,12 +244,11 @@ class LocalService:
         job = Job(
             id=f"job-{index:06d}",
             index=index,
-            program=program,
+            program_name=program.name,
             config=config,
             priority=int(priority),
             cache_key=ResultCache.key_for(program, config),
             submitted_at=time.time(),
-            _program_bytes=pickle.dumps(program),
             _config_json=config_json,
         )
         with self._lock:
@@ -262,7 +268,13 @@ class LocalService:
                 self.inline_answers["static"] += 1
             self._finish(job, JobState.STATIC, static)
             return job.id
-        self.queue.put(job, priority=job.priority)
+        job._program_bytes = pickle.dumps(program)
+        try:
+            self.queue.put(job, priority=job.priority)
+        except QueueClosed:
+            # Closed between the check above and here: the job stays QUEUED,
+            # like every job still queued at close.
+            raise ServiceClosed("service is closed") from None
         return job.id
 
     def submit_payload(self, payload: "dict | str") -> str:
@@ -309,6 +321,8 @@ class LocalService:
                 continue
             if job._cancel.is_set():
                 # Cancelled while queued: already parked in CANCELLED, skip.
+                # A cancel that beat the pickle in ``submit`` left its bytes.
+                job._program_bytes = b""
                 continue
             while not self._slots.acquire(timeout=self._poll_interval):
                 if self._closed:
@@ -349,8 +363,8 @@ class LocalService:
                         "fault_spec": self.fault_injector.spell(),
                     },
                     timeout=job.config.job_timeout,
-                    ctx=self._ctx,
                     cancel_event=job._cancel,
+                    pool=self._pool,
                 )
                 if outcome.status == "cancelled":
                     # Client withdrew the job mid-attempt: the worker was
@@ -431,6 +445,7 @@ class LocalService:
             job.state = state
             job.report = report
             job.finished_at = time.time()
+            job._program_bytes = b""
             job._done.set()
 
     # -- client surface --------------------------------------------------
@@ -526,7 +541,8 @@ class LocalService:
 
         Jobs still queued stay ``QUEUED`` (they were never started and are
         fully described by their payloads); jobs mid-attempt run to their
-        next terminal state when ``wait=True``.
+        next terminal state when ``wait=True``.  Idle workers are retired
+        here, and a worker still running an attempt when its attempt ends.
         """
         with self._lock:
             if self._closed:
@@ -539,6 +555,7 @@ class LocalService:
         if wait:
             for thread in threads:
                 thread.join(timeout)
+        self._pool.close()
 
     def __enter__(self) -> "LocalService":
         return self

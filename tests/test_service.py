@@ -624,3 +624,316 @@ class TestCancel:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
             assert excinfo.value.code == 404
+
+
+# ---------------------------------------------------------------------------
+# Finished jobs hold no program
+# ---------------------------------------------------------------------------
+
+
+_JOB_VIEW_KEYS = {
+    "id", "index", "state", "priority", "attempts", "program_name",
+    "terminal", "failure_chain", "submitted_at", "finished_at", "report",
+}
+
+
+class TestFinishedJobsHoldNoProgram:
+    @staticmethod
+    def _assert_holds_no_program(job, name):
+        from repro.lang.program import Program
+
+        assert not hasattr(job, "program")
+        assert job._program_bytes == b""
+        assert not any(isinstance(value, Program) for value in vars(job).values())
+        view = job.to_dict()
+        assert set(view) == _JOB_VIEW_KEYS
+        assert view["program_name"] == name
+        assert view["report"] == job.report.to_dict()
+
+    def test_done_cached_and_static_jobs(self, monkeypatch):
+        import types
+
+        import repro.service.jobs as jobs_module
+
+        with service() as svc:
+            done = svc.wait(svc.submit(build_bell_program(), CFG), timeout=WAIT)
+            pickles = []
+            monkeypatch.setattr(
+                jobs_module, "pickle",
+                types.SimpleNamespace(dumps=lambda obj: pickles.append(obj)),
+            )
+            cached = svc.job(svc.submit(build_bell_program(), CFG))
+            static = svc.job(
+                svc.submit(build_ghz_program(3), CFG.replace(static_preflight=True))
+            )
+        assert (done.state, cached.state, static.state) == (
+            JobState.DONE, JobState.CACHED, JobState.STATIC
+        )
+        assert pickles == []  # the inline rungs never pickle the program
+        self._assert_holds_no_program(done, "bell")
+        self._assert_holds_no_program(cached, "bell")
+        self._assert_holds_no_program(static, "ghz3")
+
+    def test_queued_job_holds_its_pickle_until_cancelled(self):
+        with service(max_workers=0) as svc:
+            job = svc.job(svc.submit(build_bell_program(), CFG))
+            assert job.state == JobState.QUEUED and job._program_bytes
+            svc.cancel(job.id)
+            assert job._program_bytes == b""
+
+
+# ---------------------------------------------------------------------------
+# Worker lifecycle: forked once, reused, retired
+# ---------------------------------------------------------------------------
+
+
+def _worker_pids(before):
+    """Pids of live child processes that were not alive at ``before``."""
+    import multiprocessing
+
+    return {proc.pid for proc in multiprocessing.active_children()} - before
+
+
+def _live_pids():
+    import multiprocessing
+
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+class TestWorkerLifecycle:
+    def _run(self, svc, program=None, config=CFG):
+        job = svc.wait(
+            svc.submit(program or build_bell_program(), config), timeout=WAIT
+        )
+        return job
+
+    def test_sequential_jobs_reuse_one_worker(self):
+        before = _live_pids()
+        with service(max_workers=1) as svc:
+            pids = []
+            for offset in range(4):
+                job = self._run(svc, config=CFG.replace(seed=SEED + offset))
+                assert job.state == JobState.DONE and job.attempts == 1
+                pids.append(_worker_pids(before))
+        assert len(pids[0]) == 1 and all(found == pids[0] for found in pids)
+
+    def test_job_after_a_crash_runs_on_a_fresh_worker(self):
+        before = _live_pids()
+        with service(fault_spec="crash@1x9", max_workers=1) as svc:
+            self._run(svc, config=CFG.replace(seed=SEED + 1))
+            first = _worker_pids(before)
+            doomed = self._run(svc, config=CFG.replace(max_retries=0))
+            healthy = self._run(svc, config=CFG.replace(seed=SEED + 2))
+            second = _worker_pids(before)
+        assert doomed.state == JobState.FAILED
+        assert [entry["kind"] for entry in doomed.failure_chain] == ["crash"]
+        assert healthy.state == JobState.DONE and healthy.attempts == 1
+        assert len(first) == len(second) == 1 and first != second
+        expected = check_program(build_bell_program(), healthy.config)
+        assert healthy.report.to_json() == expected.to_json()
+
+    def test_worker_killed_while_idle_costs_no_attempt(self):
+        import os
+        import signal
+
+        before = _live_pids()
+        with service(max_workers=1) as svc:
+            self._run(svc)
+            (pid,) = _worker_pids(before)
+            os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + WAIT
+            while pid in _live_pids():
+                assert time.monotonic() < deadline, "killed worker never exited"
+                time.sleep(0.01)
+            job = self._run(svc, config=CFG.replace(seed=SEED + 1))
+            assert _worker_pids(before) - {pid}
+        assert job.state == JobState.DONE
+        assert job.attempts == 1 and job.failure_chain == []
+
+    def test_worker_that_reported_an_error_is_retired(self):
+        before = _live_pids()
+        with service(fault_spec="error@1", max_workers=1) as svc:
+            self._run(svc)
+            first = _worker_pids(before)
+            failed = self._run(svc, config=CFG.replace(seed=SEED + 1))
+            assert failed.state == JobState.FAILED
+            assert [entry["kind"] for entry in failed.failure_chain] == ["error"]
+            assert _worker_pids(before) == set()
+            healthy = self._run(svc, config=CFG.replace(seed=SEED + 2))
+            second = _worker_pids(before)
+        assert healthy.state == JobState.DONE
+        assert len(first) == len(second) == 1 and first != second
+
+    def test_worker_retired_after_the_attempt_limit(self, monkeypatch):
+        import repro.service.workers as workers
+
+        monkeypatch.setattr(workers, "MAX_WORKER_ATTEMPTS", 2)
+        before = _live_pids()
+        with service(max_workers=1) as svc:
+            seen = []
+            for offset in range(3):
+                self._run(svc, config=CFG.replace(seed=SEED + offset))
+                seen.append(_worker_pids(before))
+        assert len(seen[0]) == 1
+        assert seen[1] == set()  # second attempt hit the limit: retired
+        assert len(seen[2]) == 1 and seen[2] != seen[0]
+
+    def test_send_to_a_dead_worker_is_a_crash(self, monkeypatch):
+        import os
+        import pickle
+        import signal
+
+        from repro.service.workers import WorkerPool
+
+        payload = {
+            "program_bytes": pickle.dumps(build_bell_program()),
+            "config_json": CFG.to_json(),
+        }
+        pool = WorkerPool()
+        try:
+            assert pool.run(payload).status == "ok"
+            (worker,) = pool._idle
+            os.kill(worker.proc.pid, signal.SIGKILL)
+            worker.proc.join(WAIT)
+            # Dead, yet looks alive at checkout: the send hits a broken pipe.
+            monkeypatch.setattr(worker.proc, "is_alive", lambda: True)
+            outcome = pool.run(payload)
+        finally:
+            pool.close()
+        assert outcome.status == "crash"
+        assert outcome.exitcode == -signal.SIGKILL
+        assert pool._idle == []
+
+    def test_concurrent_jobs_over_more_workers_than_cores(self):
+        import sys
+
+        before = _live_pids()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with service(fault_spec="crash@3; crash@7; error@11",
+                         max_workers=4) as svc:
+                ids = [
+                    svc.submit(build_bell_program(), CFG.replace(seed=SEED + n))
+                    for n in range(24)
+                ]
+                jobs = svc.wait_all(ids, timeout=WAIT)
+                assert 1 <= len(_worker_pids(before)) <= 4
+        finally:
+            sys.setswitchinterval(interval)
+        assert _worker_pids(before) == set()
+        assert [job.state for job in jobs] == (
+            [JobState.DONE] * 11 + [JobState.FAILED] + [JobState.DONE] * 12
+        )
+        assert [job.attempts for job in jobs if job.index in (3, 7)] == [2, 2]
+        for job in jobs:
+            if job.state == JobState.DONE:
+                expected = check_program(build_bell_program(), job.config)
+                assert job.report.to_json() == expected.to_json()
+
+    def test_close_leaves_no_live_child(self):
+        before = _live_pids()
+        svc = service(max_workers=2)
+        ids = [
+            svc.submit(build_bell_program(), CFG.replace(seed=SEED + offset))
+            for offset in range(6)
+        ]
+        svc.wait_all(ids, timeout=WAIT)
+        assert _worker_pids(before)
+        svc.close()
+        assert _worker_pids(before) == set()
+
+    def test_warm_worker_reports_byte_identical_to_fresh_runs(self):
+        from repro.bugs.injector import BUG_SCENARIOS
+        from repro.compiler.plan_cache import default_plan_cache
+
+        programs = [
+            BUG_SCENARIOS["wrong_initial_value"].build_correct(),
+            BUG_SCENARIOS["flipped_rotation_angles"].build_buggy(),
+        ]
+        before = _live_pids()
+        with service(max_workers=1) as svc:
+            jobs = [
+                self._run(svc, program, CFG.replace(seed=SEED + offset))
+                for offset in range(3)
+                for program in programs
+            ]
+            assert len(_worker_pids(before)) == 1
+        for job, program in zip(jobs, programs * 3):
+            assert job.state == JobState.DONE
+            default_plan_cache().clear()
+            fresh = check_program(program, job.config)
+            assert job.report.to_json() == fresh.to_json()
+
+
+# ---------------------------------------------------------------------------
+# HTTP front under hostile input: every request gets a JSON answer
+# ---------------------------------------------------------------------------
+
+
+class TestHTTPHostileInput:
+    @pytest.fixture()
+    def server(self):
+        with service() as svc, serve_http(svc) as server:
+            yield server
+
+    @staticmethod
+    def _request(server, method, path, body=None, headers=None):
+        import http.client
+
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=WAIT)
+        try:
+            conn.putrequest(method, path)
+            for name, value in (headers or {}).items():
+                conn.putheader(name, value)
+            conn.endheaders(body)
+            resp = conn.getresponse()
+            return resp.status, json.loads(resp.read())
+        finally:
+            conn.close()
+
+    def test_bad_wait_timeout_is_400(self, server):
+        job_id = server.service.submit(build_bell_program(), CFG)
+        for bad in ("abc", "-1", "nan"):
+            status, body = self._request(
+                server, "GET", f"/jobs/{job_id}/wait?timeout={bad}"
+            )
+            assert status == 400 and bad in body["error"]
+
+    def test_negative_content_length_is_400_without_blocking(self, server):
+        start = time.monotonic()
+        status, body = self._request(
+            server, "POST", "/jobs", headers={"Content-Length": "-1"}
+        )
+        assert status == 400 and "Content-Length" in body["error"]
+        assert time.monotonic() - start < 10.0
+
+    def test_oversized_body_is_413(self, server):
+        from repro.service.http import MAX_BODY_BYTES
+
+        status, body = self._request(
+            server, "POST", "/jobs", body=b"{}",
+            headers={"Content-Length": str(MAX_BODY_BYTES + 1)},
+        )
+        assert status == 413 and str(MAX_BODY_BYTES) in body["error"]
+
+    def test_submit_to_closed_service_is_503(self, server):
+        server.service.close()
+        payload = json.dumps(
+            {"program": to_qasm(build_bell_program()), "config": CFG.to_dict()}
+        ).encode()
+        status, body = self._request(
+            server, "POST", "/jobs", body=payload,
+            headers={"Content-Length": str(len(payload))},
+        )
+        assert status == 503 and "closed" in body["error"]
+
+    def test_unexpected_handler_fault_is_500(self, server, monkeypatch):
+        def broken_stats():
+            raise ZeroDivisionError("stats broke")
+
+        monkeypatch.setattr(server.service, "stats", broken_stats)
+        status, body = self._request(server, "GET", "/stats")
+        assert status == 500
+        assert body["error"] == "ZeroDivisionError: stats broke"
