@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..compiler.splitter import ExecutionPlan, build_execution_plan
+from ..lang.clifford import clifford_ops
 from ..lang.instructions import (
     AssertionInstruction,
     AssertObservableInstruction,
@@ -68,11 +69,6 @@ from ..lang.instructions import (
     SuperpositionAssertInstruction,
 )
 from ..lang.program import Program
-from ..sim.clifford import (
-    NotCliffordGateError,
-    decompose_controlled_gate,
-    decompose_gate,
-)
 from ..sim.stabilizer_backend import (
     _Tableau,
     tableau_outcome_distribution,
@@ -99,37 +95,6 @@ UNDECIDED = "undecided"
 #: Support-enumeration cap: verdicts needing more than this many distinct
 #: outcomes fall back to UNDECIDED instead of paying for the full tree.
 SUPPORT_LIMIT = 4096
-
-#: (name, params, num_controls, num_targets) -> tableau ops, or None when the
-#: gate is not Clifford.  Mirrors the memoisation of
-#: :func:`repro.lang.clifford.is_clifford_instruction`.
-_OPS_CACHE: dict[tuple, "tuple | None"] = {}
-
-
-def _gate_ops(instruction: GateInstruction):
-    key = (
-        instruction.name,
-        instruction.params,
-        len(instruction.controls),
-        len(instruction.targets),
-    )
-    try:
-        return _OPS_CACHE[key]
-    except KeyError:
-        pass
-    try:
-        if instruction.controls:
-            ops = decompose_controlled_gate(
-                instruction.base_matrix(),
-                len(instruction.controls),
-                len(instruction.targets),
-            )
-        else:
-            ops = decompose_gate(instruction.base_matrix(), len(instruction.targets))
-    except NotCliffordGateError:
-        ops = None
-    _OPS_CACHE[key] = ops
-    return ops
 
 
 @dataclass(frozen=True)
@@ -316,7 +281,7 @@ class _AbstractState:
         # gate taints one end of it.
         for other in indices[1:]:
             self._union(indices[0], other)
-        ops = _gate_ops(instruction)
+        ops = clifford_ops(instruction)
         if ops is None or not self.top.isdisjoint(indices):
             # Non-Clifford, or touching already-tainted state: skip the
             # unitary and taint every operand.  Sound — a skipped channel on

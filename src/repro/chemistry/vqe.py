@@ -124,9 +124,8 @@ class H2VQESolver:
 
     def energy(self, theta: float) -> float:
         """Energy of the ansatz state, exact or estimated from measurements."""
-        state = self.prepare_state(theta)
         if self.shots <= 0:
-            return statevector_expectation(state, self.hamiltonian)
+            return statevector_expectation(self.prepare_state(theta), self.hamiltonian)
         return self._sampled_energy(theta)
 
     def _sampled_energy(self, theta: float) -> float:

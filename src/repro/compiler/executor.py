@@ -76,7 +76,7 @@ from ..sim.registry import (
 )
 from ..sim.trajectory_backend import spawn_trajectory_streams
 from .plan_cache import PlanCache, SnapshotSet, default_plan_cache
-from .splitter import ExecutionPlan, PlanSegment, build_execution_plan
+from .splitter import ExecutionPlan, PlanSegment
 
 __all__ = [
     "BreakpointMeasurements",
@@ -181,8 +181,6 @@ class BreakpointExecutor:
         plan, so neither :func:`build_execution_plan` nor the Clifford
         classification pass runs more than once per unique program.
         """
-        if self.plan_cache is None:
-            return build_execution_plan(program)
         return self.plan_cache.plan_for(program)
 
     def run_plan(
@@ -264,7 +262,7 @@ class BreakpointExecutor:
         point by construction — and (c) a registry-named backend; instances
         and factories are caller-owned state the cache must not capture.
         """
-        if self.plan_cache is None or not self.plan_cache.shareable(plan):
+        if not self.plan_cache.shareable(plan):
             return None
         if self.noise is not None and self.noise.gate_channels:
             return None

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ..observables.pauli import PauliSum
-from ..sim import gates as _gates
+from ..sim.gates import gate_matrix
 from .registers import Qubit
 
 __all__ = [
@@ -62,18 +62,6 @@ DAGGER_PAIRS = {
 
 #: Parameterised gates whose inverse negates every parameter.
 _NEGATE_PARAM_GATES = frozenset({"rx", "ry", "rz", "phase", "u1", "p"})
-
-
-def gate_matrix(name: str, params: Sequence[float]) -> np.ndarray:
-    """Dense matrix of the *base* (uncontrolled) gate ``name``."""
-    key = name.lower()
-    if key in _gates.FIXED_GATES:
-        if params:
-            raise ValueError(f"gate {name!r} takes no parameters")
-        return _gates.FIXED_GATES[key]
-    if key in _gates.GATE_BUILDERS:
-        return _gates.GATE_BUILDERS[key](*params)
-    raise KeyError(f"unknown gate {name!r}")
 
 
 def inverse_gate_spec(name: str, params: Sequence[float]) -> tuple[str, tuple[float, ...]]:

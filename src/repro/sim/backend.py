@@ -29,8 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gates as _gates
-from .kernels import apply_controlled_inplace, apply_matrix_inplace
+from .gates import gate_matrix
 from .statevector import Statevector
 
 __all__ = ["SimulationBackend", "StatevectorBackend"]
@@ -156,14 +155,7 @@ class SimulationBackend(abc.ABC):
         self, name: str, qubits: Sequence[int], *params: float
     ) -> "SimulationBackend":
         """Apply a named gate from the :mod:`repro.sim.gates` library."""
-        key = name.lower()
-        if key in _gates.FIXED_GATES:
-            if params:
-                raise ValueError(f"gate {name!r} takes no parameters")
-            return self.apply_matrix(_gates.FIXED_GATES[key], qubits)
-        if key in _gates.GATE_BUILDERS:
-            return self.apply_matrix(_gates.GATE_BUILDERS[key](*params), qubits)
-        raise KeyError(f"unknown gate {name!r}")
+        return self.apply_matrix(gate_matrix(name, params), qubits)
 
     # -- readout --------------------------------------------------------
 
@@ -203,34 +195,6 @@ class SimulationBackend(abc.ABC):
         raise NotImplementedError(
             f"backend {self.name!r} cannot produce a statevector"
         )
-
-    # -- operand checks -------------------------------------------------
-
-    @staticmethod
-    def _validated_qubits(qubits: Sequence[int], num_qubits: int) -> list[int]:
-        """``qubits`` (or one qubit index) as distinct indices below ``num_qubits``."""
-        if isinstance(qubits, (int, np.integer)):
-            qubits = [int(qubits)]
-        qubit_list = [int(q) for q in qubits]
-        if len(set(qubit_list)) != len(qubit_list):
-            raise ValueError(f"duplicate qubits in {qubit_list}")
-        for q in qubit_list:
-            if not 0 <= q < num_qubits:
-                raise ValueError(
-                    f"qubit index {q} out of range for {num_qubits} qubits"
-                )
-        return qubit_list
-
-    @staticmethod
-    def _validated_matrix(matrix: np.ndarray, num_targets: int) -> np.ndarray:
-        """``matrix`` as a complex array, checked to act on ``num_targets`` qubits."""
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (1 << num_targets, 1 << num_targets):
-            raise ValueError(
-                f"matrix of shape {matrix.shape} does not act on "
-                f"{num_targets} qubit(s)"
-            )
-        return matrix
 
 
 class StatevectorBackend(SimulationBackend):

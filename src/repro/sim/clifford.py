@@ -235,31 +235,9 @@ def _controlled_pauli_ops(matrix: np.ndarray) -> "tuple[tuple, ...] | None":
     return tuple(ops)
 
 
-def is_clifford_matrix(matrix: np.ndarray, num_qubits: int) -> bool:
-    """True when :func:`decompose_gate` would accept the matrix."""
-    try:
-        decompose_gate(matrix, num_qubits)
-    except NotCliffordGateError:
-        return False
-    return True
-
-
-def is_clifford_controlled(
-    matrix: np.ndarray, num_controls: int, num_targets: int
-) -> bool:
-    """True when :func:`decompose_controlled_gate` would accept the gate."""
-    try:
-        decompose_controlled_gate(matrix, num_controls, num_targets)
-    except NotCliffordGateError:
-        return False
-    return True
-
-
 def _self_check() -> None:
     """The BFS table must contain exactly the 24 single-qubit Cliffords."""
     assert len(_CLIFFORD_1Q) == 24, len(_CLIFFORD_1Q)
 
 
 _self_check()
-
-__all__ += ["is_clifford_matrix", "is_clifford_controlled"]

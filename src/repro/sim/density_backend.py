@@ -42,11 +42,7 @@ from .backend import SimulationBackend
 from .registry import BackendCapabilities, register_backend
 from .density import DensityMatrix
 from .density import reduced_density_matrix as _pure_reduced_density_matrix
-from .kernels import (
-    apply_controlled_inplace,
-    apply_matrix_inplace,
-    marginal_probabilities,
-)
+from . import kernels as _kernels
 from .measurement import ReadoutErrorModel
 from .noise import KrausChannel, NoiseModel
 from .statevector import Statevector, _as_rng
@@ -166,18 +162,15 @@ class DensityMatrixBackend(SimulationBackend):
         self, matrix: np.ndarray, qubits: Sequence[int]
     ) -> "DensityMatrixBackend":
         self._require_state()
-        qubit_list = [int(q) for q in qubits]
+        n = self._num_qubits
+        qubit_list = _kernels.validated_qubits(qubits, n)
+        matrix = _kernels.validated_matrix(matrix, len(qubit_list))
         if self._pure is not None:
-            self._pure.apply_matrix(matrix, qubit_list)
+            _kernels.apply_matrix(self._pure.data, n, matrix, qubit_list)
         else:
-            matrix = self._validated_matrix(matrix, len(qubit_list))
-            self._validated_qubits(qubit_list, self._num_qubits)
             flat = self._rho.reshape(-1)
-            n = self._num_qubits
-            apply_matrix_inplace(
-                flat, 2 * n, matrix, [q + n for q in qubit_list]
-            )
-            apply_matrix_inplace(flat, 2 * n, matrix.conj(), qubit_list)
+            _kernels.apply_matrix(flat, 2 * n, matrix, [q + n for q in qubit_list])
+            _kernels.apply_matrix(flat, 2 * n, matrix.conj(), qubit_list)
         self.gates_applied += 1
         self._apply_gate_noise(qubit_list)
         return self
@@ -189,27 +182,28 @@ class DensityMatrixBackend(SimulationBackend):
         targets: Sequence[int],
     ) -> "DensityMatrixBackend":
         self._require_state()
-        control_list = [int(q) for q in controls]
-        target_list = [int(q) for q in targets]
+        n = self._num_qubits
+        control_list = _kernels.validated_qubits(controls, n)
+        target_list = _kernels.validated_qubits(targets, n)
+        if set(control_list) & set(target_list):
+            raise ValueError("control and target qubits overlap")
+        matrix = _kernels.validated_matrix(matrix, len(target_list))
         if self._pure is not None:
-            self._pure.apply_controlled(matrix, control_list, target_list)
+            _kernels.apply_controlled(
+                self._pure.data, n, matrix, control_list, target_list
+            )
         else:
-            matrix = self._validated_matrix(matrix, len(target_list))
-            if set(control_list) & set(target_list):
-                raise ValueError("control and target qubits overlap")
-            self._validated_qubits(control_list + target_list, self._num_qubits)
             flat = self._rho.reshape(-1)
-            n = self._num_qubits
             # conj(controlled(U)) == controlled(conj(U)): the control
             # projector part is real, so the bra side just conjugates U.
-            apply_controlled_inplace(
+            _kernels.apply_controlled(
                 flat,
                 2 * n,
                 matrix,
                 [q + n for q in control_list],
                 [q + n for q in target_list],
             )
-            apply_controlled_inplace(
+            _kernels.apply_controlled(
                 flat, 2 * n, matrix.conj(), control_list, target_list
             )
         self.gates_applied += 1
@@ -227,7 +221,7 @@ class DensityMatrixBackend(SimulationBackend):
                 f"channel {channel.name!r} acts on {channel.num_qubits} "
                 f"qubit(s), got {len(qubit_list)} operand(s)"
             )
-        self._validated_qubits(qubit_list, self._num_qubits)
+        _kernels.validated_qubits(qubit_list, self._num_qubits)
         self.densify()
         n = self._num_qubits
         flat = self._rho.reshape(-1)
@@ -235,8 +229,8 @@ class DensityMatrixBackend(SimulationBackend):
         accumulated = np.zeros_like(flat)
         for operator in channel.operators:
             term = flat.copy()
-            apply_matrix_inplace(term, 2 * n, operator, ket_side)
-            apply_matrix_inplace(term, 2 * n, operator.conj(), qubit_list)
+            _kernels.apply_matrix(term, 2 * n, operator, ket_side)
+            _kernels.apply_matrix(term, 2 * n, operator.conj(), qubit_list)
             accumulated += term
         flat[:] = accumulated
         return self
@@ -271,7 +265,7 @@ class DensityMatrixBackend(SimulationBackend):
         diagonal = np.clip(np.real(np.einsum("ii->i", self._rho)), 0.0, None)
         if qubits is None:
             return diagonal
-        return marginal_probabilities(diagonal, self._num_qubits, list(qubits))
+        return _kernels.marginal_probabilities(diagonal, self._num_qubits, qubits)
 
     def readout_probabilities(
         self, qubits: Sequence[int] | None = None
@@ -290,10 +284,9 @@ class DensityMatrixBackend(SimulationBackend):
         shots: int = 1,
         rng: np.random.Generator | int | None = None,
     ) -> np.ndarray:
-        rng = _as_rng(rng)
-        probs = self.readout_probabilities(qubits)
-        probs = probs / probs.sum()
-        return rng.choice(len(probs), size=shots, p=probs)
+        return _kernels.draw_outcomes(
+            self.readout_probabilities(qubits), _as_rng(rng), shots
+        )
 
     def measure(
         self,
@@ -315,19 +308,12 @@ class DensityMatrixBackend(SimulationBackend):
         rng = _as_rng(rng)
         if self._pure is not None:
             return self._pure.measure(qubit_list, rng=rng)
-        probs = self.probabilities(qubit_list)
-        probs = probs / probs.sum()
-        outcome = int(rng.choice(len(probs), p=probs))
+        outcome = _kernels.draw_outcomes(self.probabilities(qubit_list), rng)
         self._project(qubit_list, outcome)
         return outcome
 
     def _project(self, qubits: Sequence[int], value: int) -> None:
-        dim = 1 << self._num_qubits
-        indices = np.arange(dim)
-        keep = np.ones(dim, dtype=bool)
-        for position, qubit in enumerate(qubits):
-            bit = (value >> position) & 1
-            keep &= ((indices >> qubit) & 1) == bit
+        keep = _kernels.outcome_mask(self._num_qubits, qubits, value)
         self._rho[~keep, :] = 0.0
         self._rho[:, ~keep] = 0.0
         trace = float(np.real(np.einsum("ii->", self._rho)))
@@ -364,7 +350,7 @@ class DensityMatrixBackend(SimulationBackend):
         order given) — directly comparable with
         :func:`repro.sim.density.reduced_density_matrix` ground truth."""
         self._require_state()
-        keep = self._validated_qubits(keep, self._num_qubits)
+        keep = _kernels.validated_qubits(keep, self._num_qubits)
         if self._pure is not None:
             return _pure_reduced_density_matrix(self._pure, keep)
         n = self._num_qubits

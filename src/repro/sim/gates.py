@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,6 +54,7 @@ __all__ = [
     "kron_all",
     "GATE_BUILDERS",
     "FIXED_GATES",
+    "gate_matrix",
 ]
 
 # ---------------------------------------------------------------------------
@@ -281,3 +282,15 @@ GATE_BUILDERS: dict[str, object] = {
     "p": phase,
     "u3": u3,
 }
+
+
+def gate_matrix(name: str, params: Sequence[float]) -> np.ndarray:
+    """Dense matrix of the *base* (uncontrolled) gate ``name``."""
+    key = name.lower()
+    if key in FIXED_GATES:
+        if params:
+            raise ValueError(f"gate {name!r} takes no parameters")
+        return FIXED_GATES[key]
+    if key in GATE_BUILDERS:
+        return GATE_BUILDERS[key](*params)
+    raise KeyError(f"unknown gate {name!r}")

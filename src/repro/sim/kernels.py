@@ -18,14 +18,22 @@ only the amplitudes that the gate can change:
   diagonal entry is not 1, the amplitudes with every control 1 and the
   targets equal to ``v`` form one basic-indexed strided view of the state
   reshaped to ``(2,) * n``, which is multiplied in place by that entry.
-  Every entry point routes such a gate there first, so the statevector,
-  density (both sides) and trajectory backends share the path.
+  Both entry points route such a gate there first.
 
-All kernels mutate ``data`` (the flat amplitude array) in place and return it.
-``data[i]`` is the amplitude of basis state ``|i>`` with bit ``j`` of ``i``
-holding the value of qubit ``j`` (little-endian), and ``qubits[0]`` is the
-least significant operand of ``matrix`` — the same conventions as
-:mod:`repro.sim.gates` and :class:`repro.sim.statevector.Statevector`.
+:func:`apply_matrix` and :func:`apply_controlled` are the only two gate entry
+points.  They take ``data`` as one flat ``2**n`` state or as a C-contiguous
+``(B, 2**n)`` batch, mutate it in place and return it; the statevector,
+density (both sides, as a ``2n``-qubit state) and trajectory (one batch of
+member rows) backends all call them.  ``data[..., i]`` is the amplitude of
+basis state ``|i>`` with bit ``j`` of ``i`` holding the value of qubit ``j``
+(little-endian), and ``qubits[0]`` is the least significant operand of
+``matrix`` — the same conventions as :mod:`repro.sim.gates` and
+:class:`repro.sim.statevector.Statevector`.
+
+The module also holds the other decisions every dense backend shares: the
+operand checks (:func:`validated_qubits`, :func:`validated_matrix`), the
+outcome draw (:func:`draw_outcomes`) and the collapse onto a measured
+outcome (:func:`outcome_mask`, :func:`project`).
 """
 
 from __future__ import annotations
@@ -34,12 +42,17 @@ from typing import Sequence
 
 import numpy as np
 
+from . import gates as _gates
+
 __all__ = [
-    "apply_matrix_inplace",
-    "apply_controlled_inplace",
-    "apply_matrix_batched",
-    "apply_controlled_batched",
+    "apply_matrix",
+    "apply_controlled",
     "apply_pauli_batched",
+    "validated_qubits",
+    "validated_matrix",
+    "draw_outcomes",
+    "outcome_mask",
+    "project",
     "pauli_mask_kernel",
     "marginal_probabilities",
     "popcount_u64",
@@ -159,6 +172,21 @@ def _subspace_indices(
     return base
 
 
+def _batched_base(data: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Tile per-state amplitude-group indices across a stacked batch.
+
+    A ``(B, 2**n)`` batch flattened to ``B * 2**n`` entries places member
+    ``m`` at offset ``m * 2**n``; gate operands only address the low ``n``
+    bits, so adding the member offsets to the single-state base indices
+    makes the gather kernel batch-aware for free.  A flat state keeps
+    ``base`` unchanged.
+    """
+    if data.ndim == 1:
+        return base
+    offsets = np.arange(data.shape[0], dtype=base.dtype) * data.shape[1]
+    return (offsets[:, None] + base[None, :]).reshape(-1)
+
+
 def _gather_apply(
     data: np.ndarray,
     matrix: np.ndarray,
@@ -169,19 +197,26 @@ def _gather_apply(
 
     ``base`` lists the basis indices with all target bits 0 (one per group);
     group member ``v`` lives at ``base + offset(v)`` where ``offset`` places
-    bit ``j`` of ``v`` at qubit ``targets[j]``.
+    bit ``j`` of ``v`` at qubit ``targets[j]``.  ``data`` is one flat state
+    or a ``(B, 2**n)`` batch; each member's groups get a matrix product of
+    their own, because BLAS picks its kernel by the column count and one
+    product over the whole batch could round a member differently from the
+    same state on its own.
     """
     k = len(targets)
     offsets = [
         sum(((value >> j) & 1) << targets[j] for j in range(k))
         for value in range(1 << k)
     ]
-    columns = np.empty((1 << k, base.shape[0]), dtype=data.dtype)
+    indices = _batched_base(data, base)
+    flat = data.reshape(-1)
+    columns = np.empty((1 << k, indices.shape[0]), dtype=data.dtype)
     for value, offset in enumerate(offsets):
-        columns[value] = data[base + offset]
-    columns = matrix @ columns
+        columns[value] = flat[indices + offset]
+    by_member = columns.reshape(1 << k, -1, base.shape[0]).swapaxes(0, 1)
+    columns = (matrix @ by_member).swapaxes(0, 1).reshape(1 << k, -1)
     for value, offset in enumerate(offsets):
-        data[base + offset] = columns[value]
+        flat[indices + offset] = columns[value]
 
 
 def _diagonal_of(matrix: np.ndarray) -> np.ndarray | None:
@@ -249,25 +284,61 @@ def _apply_dense_inplace(
     data[:] = tensor.reshape(-1)
 
 
-def apply_matrix_inplace(
+def apply_matrix(
     data: np.ndarray,
     num_qubits: int,
     matrix: np.ndarray,
     qubits: Sequence[int],
 ) -> np.ndarray:
-    """Apply a ``2**k x 2**k`` unitary to ``qubits`` of the state in place."""
+    """Apply a ``2**k x 2**k`` unitary to ``qubits`` of ``data`` in place.
+
+    ``data`` is one flat state or a C-contiguous ``(B, 2**n)`` batch; on a
+    batch (the trajectory engine's hot path: one plan walk carries the whole
+    ensemble) each gate is one vectorised call over every member.
+    """
     diagonal = _diagonal_of(matrix)
     if diagonal is not None:
         _apply_diagonal(data, num_qubits, diagonal, (), qubits)
         return data
     k = len(qubits)
     if k == 1:
+        # The strided 1q view decomposes B * 2**n cleanly because 2**(q+1)
+        # divides each member's 2**n block.
         _apply_1q_inplace(data, matrix, qubits[0])
     elif k <= _GATHER_MAX_TARGETS:
         base = _subspace_indices(num_qubits, zero_bits=qubits)
         _gather_apply(data, matrix, qubits, base)
     else:
-        _apply_dense_inplace(data, num_qubits, matrix, qubits)
+        for state in data.reshape(-1, 1 << num_qubits):
+            _apply_dense_inplace(state, num_qubits, matrix, qubits)
+    return data
+
+
+def apply_controlled(
+    data: np.ndarray,
+    num_qubits: int,
+    matrix: np.ndarray,
+    controls: Sequence[int],
+    targets: Sequence[int],
+) -> np.ndarray:
+    """Apply ``matrix`` on ``targets`` where every control bit is 1, in place.
+
+    This is the index-masked kernel: the dense controlled unitary is never
+    materialised, and amplitudes outside the control-satisfied subspace are
+    never touched (they are the identity part of the controlled gate).
+    ``data`` is one flat state or a C-contiguous ``(B, 2**n)`` batch.
+    """
+    if not controls:
+        return apply_matrix(data, num_qubits, matrix, targets)
+    diagonal = _diagonal_of(matrix)
+    if diagonal is not None:
+        _apply_diagonal(data, num_qubits, diagonal, controls, targets)
+        return data
+    if len(targets) > _GATHER_MAX_TARGETS:  # pragma: no cover - unused width
+        full = _gates.controlled(matrix, num_controls=len(controls))
+        return apply_matrix(data, num_qubits, full, list(controls) + list(targets))
+    base = _subspace_indices(num_qubits, zero_bits=targets, one_bits=controls)
+    _gather_apply(data, matrix, targets, base)
     return data
 
 
@@ -285,12 +356,7 @@ def marginal_probabilities(
     statevector backend (on ``|amplitude|^2``) and the density-matrix backend
     (on the real diagonal of rho) reduce their readout to this kernel.
     """
-    qubit_list = [int(q) for q in qubits]
-    if len(set(qubit_list)) != len(qubit_list):
-        raise ValueError(f"duplicate qubits in {qubit_list}")
-    for q in qubit_list:
-        if not 0 <= q < num_qubits:
-            raise ValueError(f"qubit index {q} out of range for {num_qubits} qubits")
+    qubit_list = validated_qubits(qubits, num_qubits)
     tensor = probabilities.reshape([2] * num_qubits)
     keep_axes = [num_qubits - 1 - q for q in reversed(qubit_list)]
     other_axes = tuple(a for a in range(num_qubits) if a not in keep_axes)
@@ -304,79 +370,63 @@ def marginal_probabilities(
     return tensor.reshape(-1)
 
 
-def _batched_base(batch_size: int, num_qubits: int, base: np.ndarray) -> np.ndarray:
-    """Tile per-state amplitude-group indices across a stacked batch.
+def validated_qubits(qubits: Sequence[int] | int, num_qubits: int) -> list[int]:
+    """``qubits`` (or one qubit index) as distinct indices below ``num_qubits``."""
+    if isinstance(qubits, (int, np.integer)):
+        qubits = [int(qubits)]
+    qubit_list = [int(q) for q in qubits]
+    if len(set(qubit_list)) != len(qubit_list):
+        raise ValueError(f"duplicate qubits in {qubit_list}")
+    for q in qubit_list:
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"qubit index {q} out of range for {num_qubits} qubits")
+    return qubit_list
 
-    A ``(B, 2**n)`` batch flattened to ``B * 2**n`` entries places member
-    ``m`` at offset ``m << n``; gate operands only address the low ``n``
-    bits, so OR-ing the member offsets onto the single-state base indices
-    makes every single-state gather kernel batch-aware for free.
-    """
-    offsets = np.arange(batch_size, dtype=base.dtype) << num_qubits
-    return (offsets[:, None] | base[None, :]).reshape(-1)
 
-
-def apply_matrix_batched(
-    batch: np.ndarray,
-    num_qubits: int,
-    matrix: np.ndarray,
-    qubits: Sequence[int],
-) -> np.ndarray:
-    """Apply one unitary to ``qubits`` of every member of a ``(B, 2**n)`` batch.
-
-    This is the hot path of the trajectory noise engine: one plan walk
-    carries the whole ensemble, so each gate is a single vectorised kernel
-    call over all ``B`` members instead of ``B`` separate walks.  ``batch``
-    must be C-contiguous (the trajectory backend guarantees it); it is
-    mutated in place and returned.
-    """
-    diagonal = _diagonal_of(matrix)
-    if diagonal is not None:
-        _apply_diagonal(batch, num_qubits, diagonal, (), qubits)
-        return batch
-    k = len(qubits)
-    flat = batch.reshape(-1)
-    if k == 1:
-        # The strided 1q view decomposes B * 2**n cleanly because 2**(q+1)
-        # divides each member's 2**n block.
-        _apply_1q_inplace(flat, matrix, qubits[0])
-    elif k <= _GATHER_MAX_TARGETS:
-        base = _subspace_indices(num_qubits, zero_bits=qubits)
-        _gather_apply(
-            flat, matrix, qubits, _batched_base(batch.shape[0], num_qubits, base)
+def validated_matrix(matrix: np.ndarray, num_targets: int) -> np.ndarray:
+    """``matrix`` as a complex array, checked to act on ``num_targets`` qubits."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (1 << num_targets, 1 << num_targets):
+        raise ValueError(
+            f"matrix of shape {matrix.shape} does not act on {num_targets} qubit(s)"
         )
-    else:
-        for member in batch:
-            _apply_dense_inplace(member, num_qubits, matrix, qubits)
-    return batch
+    return matrix
 
 
-def apply_controlled_batched(
-    batch: np.ndarray,
-    num_qubits: int,
-    matrix: np.ndarray,
-    controls: Sequence[int],
-    targets: Sequence[int],
+def draw_outcomes(
+    probs: np.ndarray, rng: np.random.Generator, shots: int | None = None
+) -> "int | np.ndarray":
+    """Normalise ``probs`` and draw one outcome, or ``shots`` of them.
+
+    Every backend's readout draws through this one ``rng.choice`` call
+    shape, which keeps seeded streams aligned across backends.
+    """
+    probs = probs / probs.sum()
+    if shots is None:
+        return int(rng.choice(len(probs), p=probs))
+    return rng.choice(len(probs), size=shots, p=probs)
+
+
+def outcome_mask(num_qubits: int, qubits: Sequence[int], value: int) -> np.ndarray:
+    """Which of the ``2**n`` basis states have ``qubits`` encoding ``value``."""
+    indices = np.arange(1 << num_qubits)
+    mask = np.ones(1 << num_qubits, dtype=bool)
+    for position, qubit in enumerate(qubits):
+        mask &= ((indices >> qubit) & 1) == ((value >> position) & 1)
+    return mask
+
+
+def project(
+    state: np.ndarray, num_qubits: int, qubits: Sequence[int], value: int
 ) -> np.ndarray:
-    """Batched index-masked controlled gate over a ``(B, 2**n)`` batch."""
-    if not controls:
-        return apply_matrix_batched(batch, num_qubits, matrix, targets)
-    diagonal = _diagonal_of(matrix)
-    if diagonal is not None:
-        _apply_diagonal(batch, num_qubits, diagonal, controls, targets)
-        return batch
-    if len(targets) > _GATHER_MAX_TARGETS:  # pragma: no cover - unused width
-        for member in batch:
-            apply_controlled_inplace(member, num_qubits, matrix, controls, targets)
-        return batch
-    base = _subspace_indices(num_qubits, zero_bits=targets, one_bits=controls)
-    _gather_apply(
-        batch.reshape(-1),
-        matrix,
-        targets,
-        _batched_base(batch.shape[0], num_qubits, base),
-    )
-    return batch
+    """``state`` collapsed onto ``qubits == value`` and renormalised (a copy)."""
+    projected = np.where(outcome_mask(num_qubits, qubits, value), state, 0.0)
+    norm = np.linalg.norm(projected)
+    if norm < 1e-15:
+        raise ValueError(
+            f"outcome {value} on qubits {list(qubits)} has zero probability"
+        )
+    return projected / norm
 
 
 def apply_pauli_batched(
@@ -427,34 +477,3 @@ def pauli_mask_kernel(
     out = np.empty_like(data)
     out[indices ^ x_mask] = (1j ** y_count) * signs * data
     return out
-
-
-def apply_controlled_inplace(
-    data: np.ndarray,
-    num_qubits: int,
-    matrix: np.ndarray,
-    controls: Sequence[int],
-    targets: Sequence[int],
-) -> np.ndarray:
-    """Apply ``matrix`` on ``targets`` where every control bit is 1, in place.
-
-    This is the index-masked kernel: the dense controlled unitary is never
-    materialised, and amplitudes outside the control-satisfied subspace are
-    never touched (they are the identity part of the controlled gate).
-    """
-    if not controls:
-        return apply_matrix_inplace(data, num_qubits, matrix, targets)
-    diagonal = _diagonal_of(matrix)
-    if diagonal is not None:
-        _apply_diagonal(data, num_qubits, diagonal, controls, targets)
-        return data
-    if len(targets) > _GATHER_MAX_TARGETS:  # pragma: no cover - unused width
-        from . import gates as _gates
-
-        full = _gates.controlled(matrix, num_controls=len(controls))
-        return apply_matrix_inplace(
-            data, num_qubits, full, list(controls) + list(targets)
-        )
-    base = _subspace_indices(num_qubits, zero_bits=targets, one_bits=controls)
-    _gather_apply(data, matrix, targets, base)
-    return data

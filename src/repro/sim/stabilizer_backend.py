@@ -36,9 +36,10 @@ Readout
 copies: each qubit in turn is either deterministic (no branch) or an exact
 50/50 coin (two forced-outcome branches), so the returned distribution is
 exact with dyadic entries and the cost is O(support x k x n²), independent
-of 2ⁿ.  ``sample`` then draws from that dense marginal with the same
-``rng.choice`` call shape as the statevector backend, keeping seeded
-RNG streams aligned across backends in the executor's ``"sample"`` mode.
+of 2ⁿ.  ``sample`` then draws from that dense marginal through the same
+:func:`~repro.sim.kernels.draw_outcomes` call as the statevector backend,
+keeping seeded RNG streams aligned across backends in the executor's
+``"sample"`` mode.
 
 Snapshots are tuples of the column integers — immutable, so the incremental
 executor's checkpoint-per-breakpoint walk (and the ``PlanCache``'s shared
@@ -67,12 +68,15 @@ from .clifford import (
 )
 from .kernels import (
     bits_to_ints,
+    draw_outcomes,
     ints_to_bits,
     locate_bit,
     pack_bits_to_words,
     pauli_mask_kernel,
     popcount_u64,
     unpack_words_to_bits,
+    validated_matrix,
+    validated_qubits,
 )
 from .measurement import ReadoutErrorModel
 from .noise import KrausChannel, NoiseModel
@@ -882,8 +886,8 @@ class StabilizerBackend(SimulationBackend):
         self, matrix: np.ndarray, qubits: Sequence[int]
     ) -> "StabilizerBackend":
         tableau = self._require_tableau()
-        qubit_list = self._validated_qubits(qubits, tableau.n)
-        matrix = self._validated_matrix(matrix, len(qubit_list))
+        qubit_list = validated_qubits(qubits, tableau.n)
+        matrix = validated_matrix(matrix, len(qubit_list))
         ops = decompose_gate(matrix, len(qubit_list))
         self._apply_ops(tableau, ops, qubit_list)
         return self
@@ -895,11 +899,11 @@ class StabilizerBackend(SimulationBackend):
         targets: Sequence[int],
     ) -> "StabilizerBackend":
         tableau = self._require_tableau()
-        control_list = self._validated_qubits(controls, tableau.n)
-        target_list = self._validated_qubits(targets, tableau.n)
+        control_list = validated_qubits(controls, tableau.n)
+        target_list = validated_qubits(targets, tableau.n)
         if set(control_list) & set(target_list):
             raise ValueError("control and target qubits overlap")
-        matrix = self._validated_matrix(matrix, len(target_list))
+        matrix = validated_matrix(matrix, len(target_list))
         ops = decompose_controlled_gate(matrix, len(control_list), len(target_list))
         self._apply_ops(tableau, ops, control_list + target_list)
         return self
@@ -972,7 +976,7 @@ class StabilizerBackend(SimulationBackend):
         has small measurement support on them (GHZ: support 2 at any width).
         """
         tableau = self._require_tableau()
-        qubit_list = self._validated_qubits(qubits, tableau.n)
+        qubit_list = validated_qubits(qubits, tableau.n)
         distribution = tableau_outcome_distribution(tableau, qubit_list)
         assert distribution is not None  # no cap: enumeration always completes
         return distribution
@@ -1018,21 +1022,17 @@ class StabilizerBackend(SimulationBackend):
         """Draw outcomes; with frames, one per member when ``shots == batch_size``.
 
         The trajectory readout draws base outcomes from the **shared**
-        noiseless tableau marginal (one ``rng.choice`` with the statevector
-        backend's call shape) and XORs each member's frame flips on top —
+        noiseless tableau marginal (one ``draw_outcomes`` call, as in the
+        statevector backend) and XORs each member's frame flips on top —
         member ``m``'s sample is one noisy execution.  Other shot counts draw
         i.i.d. from the frame-averaged mixture.
         """
         rng = _as_rng(rng)
         qubit_list = self._readout_qubits(qubits)
         if self._frames is not None and shots == self._batch_size:
-            base = self._tableau_probabilities(qubit_list)
-            base = base / base.sum()
-            draws = rng.choice(len(base), size=shots, p=base)
+            draws = draw_outcomes(self._tableau_probabilities(qubit_list), rng, shots)
             return draws ^ self._frames.outcome_flips(qubit_list)
-        probs = self.probabilities(qubit_list)
-        probs = probs / probs.sum()
-        return rng.choice(len(probs), size=shots, p=probs)
+        return draw_outcomes(self.probabilities(qubit_list), rng, shots)
 
     def measure(
         self,
@@ -1041,7 +1041,7 @@ class StabilizerBackend(SimulationBackend):
     ) -> int:
         """Projective measurement, RNG-stream-compatible with the statevector.
 
-        The outcome is drawn with one ``rng.choice`` over the dense marginal
+        The outcome is drawn with one ``draw_outcomes`` over the dense marginal
         (exactly the statevector backend's consumption pattern) and the
         tableau is then collapsed onto it qubit by qubit.  With frames the
         collapse is only defined per member, so noisy batches are restricted
@@ -1050,7 +1050,7 @@ class StabilizerBackend(SimulationBackend):
         the corresponding base outcome.
         """
         tableau = self._require_tableau()
-        qubit_list = self._validated_qubits(qubits, tableau.n)
+        qubit_list = validated_qubits(qubits, tableau.n)
         rng = _as_rng(rng)
         flip = 0
         if self._frames is not None:
@@ -1060,9 +1060,7 @@ class StabilizerBackend(SimulationBackend):
                     "use batch_size=1 (the executor's 'rerun' mode does)"
                 )
             flip = int(self._frames.outcome_flips(qubit_list)[0])
-        probs = self.probabilities(qubit_list)
-        probs = probs / probs.sum()
-        outcome = int(rng.choice(len(probs), p=probs))
+        outcome = draw_outcomes(self.probabilities(qubit_list), rng)
         base_outcome = outcome ^ flip
         for position, q in enumerate(qubit_list):
             bit = (base_outcome >> position) & 1
@@ -1093,7 +1091,7 @@ class StabilizerBackend(SimulationBackend):
         if self._frames is None:
             return super().prep_qubit(qubit, value, rng=rng)
         tableau = self._require_tableau()
-        (qubit,) = self._validated_qubits([qubit], tableau.n)
+        (qubit,) = validated_qubits([qubit], tableau.n)
         value = int(value)
         deterministic = tableau.deterministic_outcome(qubit)
         if deterministic is None:
@@ -1201,7 +1199,7 @@ class StabilizerBackend(SimulationBackend):
     def _readout_qubits(self, qubits: Sequence[int] | None) -> list[int]:
         """The validated readout qubits; ``None`` means the whole register."""
         n = self._require_tableau().n
-        return self._validated_qubits(range(n) if qubits is None else qubits, n)
+        return validated_qubits(range(n) if qubits is None else qubits, n)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         qubits = self._tableau.n if self._tableau is not None else None

@@ -26,12 +26,6 @@ from . import kernels as _kernels
 __all__ = ["Statevector"]
 
 
-def _as_qubit_list(qubits: Sequence[int] | int) -> list[int]:
-    if isinstance(qubits, (int, np.integer)):
-        return [int(qubits)]
-    return [int(q) for q in qubits]
-
-
 class Statevector:
     """A pure quantum state over ``num_qubits`` qubits.
 
@@ -151,15 +145,9 @@ class Statevector:
         ``qubits[0]`` is the least significant index of the matrix, matching
         the layout of :mod:`repro.sim.gates`.
         """
-        qubit_list = _as_qubit_list(qubits)
-        self._validate_qubits(qubit_list)
-        k = len(qubit_list)
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (1 << k, 1 << k):
-            raise ValueError(
-                f"matrix of shape {matrix.shape} does not act on {k} qubit(s)"
-            )
-        _kernels.apply_matrix_inplace(self.data, self.num_qubits, matrix, qubit_list)
+        qubit_list = _kernels.validated_qubits(qubits, self.num_qubits)
+        matrix = _kernels.validated_matrix(matrix, len(qubit_list))
+        _kernels.apply_matrix(self.data, self.num_qubits, matrix, qubit_list)
         return self
 
     def apply_controlled(
@@ -173,42 +161,19 @@ class Statevector:
         The base matrix is applied only on the control-satisfied subspace
         (index masking); the dense controlled unitary is never materialised.
         """
-        control_list = _as_qubit_list(controls)
-        target_list = _as_qubit_list(targets)
+        control_list = _kernels.validated_qubits(controls, self.num_qubits)
+        target_list = _kernels.validated_qubits(targets, self.num_qubits)
         if set(control_list) & set(target_list):
             raise ValueError("control and target qubits overlap")
-        self._validate_qubits(control_list + target_list)
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (1 << len(target_list), 1 << len(target_list)):
-            raise ValueError(
-                f"matrix of shape {matrix.shape} does not act on "
-                f"{len(target_list)} qubit(s)"
-            )
-        _kernels.apply_controlled_inplace(
+        matrix = _kernels.validated_matrix(matrix, len(target_list))
+        _kernels.apply_controlled(
             self.data, self.num_qubits, matrix, control_list, target_list
         )
         return self
 
     def apply_gate(self, name: str, qubits: Sequence[int] | int, *params: float) -> "Statevector":
         """Apply a named gate from the :mod:`repro.sim.gates` library."""
-        key = name.lower()
-        if key in _gates.FIXED_GATES:
-            if params:
-                raise ValueError(f"gate {name!r} takes no parameters")
-            return self.apply_matrix(_gates.FIXED_GATES[key], qubits)
-        if key in _gates.GATE_BUILDERS:
-            builder = _gates.GATE_BUILDERS[key]
-            return self.apply_matrix(builder(*params), qubits)
-        raise KeyError(f"unknown gate {name!r}")
-
-    def _validate_qubits(self, qubits: Sequence[int]) -> None:
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"duplicate qubits in {qubits}")
-        for q in qubits:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(
-                    f"qubit index {q} out of range for {self.num_qubits} qubits"
-                )
+        return self.apply_matrix(_gates.gate_matrix(name, params), qubits)
 
     # ------------------------------------------------------------------
     # Probabilities, sampling and measurement
@@ -225,9 +190,7 @@ class Statevector:
         probs = np.abs(self.data) ** 2
         if qubits is None:
             return probs
-        qubit_list = _as_qubit_list(qubits)
-        self._validate_qubits(qubit_list)
-        return _kernels.marginal_probabilities(probs, self.num_qubits, qubit_list)
+        return _kernels.marginal_probabilities(probs, self.num_qubits, qubits)
 
     def probability_of_outcome(self, qubits: Sequence[int], value: int) -> float:
         """Probability of measuring ``value`` on the listed qubits."""
@@ -248,10 +211,7 @@ class Statevector:
         breakpoint program, sampling the final distribution is statistically
         identical to running the program ``shots`` times.
         """
-        rng = _as_rng(rng)
-        probs = self.probabilities(qubits)
-        probs = probs / probs.sum()
-        return rng.choice(len(probs), size=shots, p=probs)
+        return _kernels.draw_outcomes(self.probabilities(qubits), _as_rng(rng), shots)
 
     def sample_counts(
         self,
@@ -273,30 +233,15 @@ class Statevector:
         Returns the measured integer value (little-endian in the qubit order
         given).  The state is renormalised after the projection.
         """
-        qubit_list = _as_qubit_list(qubits)
-        rng = _as_rng(rng)
-        probs = self.probabilities(qubit_list)
-        probs = probs / probs.sum()
-        outcome = int(rng.choice(len(probs), p=probs))
-        self.project(qubit_list, outcome)
+        qubit_list = _kernels.validated_qubits(qubits, self.num_qubits)
+        outcome = _kernels.draw_outcomes(self.probabilities(qubit_list), _as_rng(rng))
+        self.data = _kernels.project(self.data, self.num_qubits, qubit_list, outcome)
         return outcome
 
     def project(self, qubits: Sequence[int] | int, value: int) -> "Statevector":
         """Project onto the subspace where ``qubits`` encode ``value``."""
-        qubit_list = _as_qubit_list(qubits)
-        self._validate_qubits(qubit_list)
-        indices = np.arange(self.dim)
-        mask = np.ones(self.dim, dtype=bool)
-        for position, qubit in enumerate(qubit_list):
-            bit = (value >> position) & 1
-            mask &= ((indices >> qubit) & 1) == bit
-        projected = np.where(mask, self.data, 0.0)
-        norm = np.linalg.norm(projected)
-        if norm < 1e-15:
-            raise ValueError(
-                f"outcome {value} on qubits {qubit_list} has zero probability"
-            )
-        self.data = projected / norm
+        qubit_list = _kernels.validated_qubits(qubits, self.num_qubits)
+        self.data = _kernels.project(self.data, self.num_qubits, qubit_list, value)
         return self
 
     def reset_qubit(self, qubit: int, rng: np.random.Generator | int | None = None) -> "Statevector":

@@ -16,7 +16,7 @@ the distinct member states, and a ``row_of`` map from member to row.  One
 walk of an execution plan produces the whole noisy ensemble (the
 incremental executor sets ``batch_size = ensemble_size`` and draws one
 readout sample per member at each breakpoint).  Unitary gates are identical
-across members, so each gate is one call of the batched kernels of
+across members, so each gate is one call of the shared gate kernels of
 :mod:`repro.sim.kernels` over the distinct rows only.  A member gets a row
 of its own the moment it would differ from the members it shares one with:
 a noise event splits off the hit members of shared rows before applying
@@ -60,12 +60,8 @@ import numpy as np
 
 from .backend import SimulationBackend
 from .registry import BackendCapabilities, register_backend, resolve_streams
-from .kernels import (
-    apply_controlled_batched,
-    apply_matrix_batched,
-    apply_pauli_batched,
-    marginal_probabilities,
-)
+from . import kernels as _kernels
+from .kernels import apply_pauli_batched, validated_qubits
 from .measurement import ReadoutErrorModel
 from .noise import KrausChannel, NoiseModel, PauliChannelSampler
 from .statevector import Statevector, _as_rng
@@ -588,9 +584,9 @@ class TrajectoryNoiseBackend(SimulationBackend):
         self, matrix: np.ndarray, qubits: Sequence[int]
     ) -> "TrajectoryNoiseBackend":
         rows = self._require_rows()
-        qubit_list = self._validated_qubits(qubits, self._num_qubits)
-        matrix = self._validated_matrix(matrix, len(qubit_list))
-        apply_matrix_batched(rows, self._num_qubits, matrix, qubit_list)
+        qubit_list = validated_qubits(qubits, self._num_qubits)
+        matrix = _kernels.validated_matrix(matrix, len(qubit_list))
+        _kernels.apply_matrix(rows, self._num_qubits, matrix, qubit_list)
         self.gates_applied += 1
         self._apply_gate_noise(qubit_list)
         return self
@@ -602,12 +598,12 @@ class TrajectoryNoiseBackend(SimulationBackend):
         targets: Sequence[int],
     ) -> "TrajectoryNoiseBackend":
         rows = self._require_rows()
-        control_list = self._validated_qubits(controls, self._num_qubits)
-        target_list = self._validated_qubits(targets, self._num_qubits)
+        control_list = validated_qubits(controls, self._num_qubits)
+        target_list = validated_qubits(targets, self._num_qubits)
         if set(control_list) & set(target_list):
             raise ValueError("control and target qubits overlap")
-        matrix = self._validated_matrix(matrix, len(target_list))
-        apply_controlled_batched(
+        matrix = _kernels.validated_matrix(matrix, len(target_list))
+        _kernels.apply_controlled(
             rows, self._num_qubits, matrix, control_list, target_list
         )
         self.gates_applied += 1
@@ -662,10 +658,10 @@ class TrajectoryNoiseBackend(SimulationBackend):
         if qubits is None:
             rows = weights
         else:
-            qubit_list = self._validated_qubits(qubits, self._num_qubits)
+            qubit_list = validated_qubits(qubits, self._num_qubits)
             rows = np.stack(
                 [
-                    marginal_probabilities(row, self._num_qubits, qubit_list)
+                    _kernels.marginal_probabilities(row, self._num_qubits, qubit_list)
                     for row in weights
                 ]
             )
@@ -713,9 +709,9 @@ class TrajectoryNoiseBackend(SimulationBackend):
             uniforms = rng.random(self._batch_size)
             outcomes = (cumulative < uniforms[:, None]).sum(axis=1)
             return np.minimum(outcomes, member_probs.shape[1] - 1)
-        averaged = self._member_noise.mixture(member_probs)
-        averaged = averaged / averaged.sum()
-        return rng.choice(len(averaged), size=shots, p=averaged)
+        return _kernels.draw_outcomes(
+            self._member_noise.mixture(member_probs), rng, shots
+        )
 
     def measure(
         self,
@@ -736,12 +732,13 @@ class TrajectoryNoiseBackend(SimulationBackend):
                 "use batch_size=1 (the executor's 'rerun' mode does)"
             )
         self._require_rows()
-        qubit_list = self._validated_qubits(qubits, self._num_qubits)
-        rng = _as_rng(rng)
+        qubit_list = validated_qubits(qubits, self._num_qubits)
         probs = self.member_probabilities(qubit_list)[0]
-        probs = probs / probs.sum()
-        outcome = int(rng.choice(len(probs), p=probs))
-        self._project_row(int(self._row_of[0]), qubit_list, outcome)
+        outcome = _kernels.draw_outcomes(probs, _as_rng(rng))
+        row = self._row_of[0]
+        self._store[row] = _kernels.project(
+            self._store[row], self._num_qubits, qubit_list, outcome
+        )
         return outcome
 
     def prep_qubit(
@@ -761,7 +758,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
         correction is an ordinary gate application.
         """
         rows = self._require_rows()
-        (qubit,) = self._validated_qubits([qubit], self._num_qubits)
+        (qubit,) = validated_qubits([qubit], self._num_qubits)
         value = int(value)
         view = (np.abs(rows) ** 2).reshape(self._rows, -1, 2, 1 << qubit)
         totals = view.sum(axis=(1, 2, 3))
@@ -777,7 +774,9 @@ class TrajectoryNoiseBackend(SimulationBackend):
             self._split(current)
             for row in np.unique(self._row_of[collapsing]):
                 outcome = current[np.flatnonzero(self._row_of == row)[0]]
-                self._project_row(int(row), [qubit], int(outcome))
+                self._store[row] = _kernels.project(
+                    self._store[row], self._num_qubits, [qubit], int(outcome)
+                )
         flips = current != value
         if np.any(flips):
             self._apply_member_paulis(qubit, flips.astype(np.int64))
@@ -786,22 +785,6 @@ class TrajectoryNoiseBackend(SimulationBackend):
             # correction's gate noise (and consume a stream draw).
             self._apply_gate_noise([qubit], members=flips)
         return self
-
-    def _project_row(self, row: int, qubits: Sequence[int], outcome: int) -> None:
-        dim = 1 << self._num_qubits
-        indices = np.arange(dim)
-        keep = np.ones(dim, dtype=bool)
-        for position, qubit in enumerate(qubits):
-            bit = (outcome >> position) & 1
-            keep &= ((indices >> qubit) & 1) == bit
-        projected = np.where(keep, self._store[row], 0.0)
-        norm = np.linalg.norm(projected)
-        if norm < 1e-15:
-            raise ValueError(
-                f"outcome {outcome} on qubits {list(qubits)} has zero "
-                f"probability in trajectory row {row}"
-            )
-        self._store[row] = projected / norm
 
     # -- conversion -----------------------------------------------------
 

@@ -83,6 +83,18 @@ class TestVQESolver:
             exact_solver.energy(theta), abs=0.1
         )
 
+    def test_sampled_energy_never_simulates_the_exact_state(self, monkeypatch):
+        """Sampled energies come from the measurement circuits alone."""
+
+        def forbidden(theta):
+            raise AssertionError("the sampled path simulated the exact ansatz")
+
+        sampled_solver = H2VQESolver(shots=256, rng=11)
+        monkeypatch.setattr(sampled_solver, "prepare_state", forbidden)
+        # Seeded values pinned before the exact simulation was dropped.
+        assert sampled_solver.energy(0.4) == -1.0129016724995532
+        assert sampled_solver.energy(-0.2) == -0.9871596217183034
+
     def test_minimize_with_custom_energy_function(self, solver):
         result = solver.minimize(energy_function=lambda theta: (theta - 0.2) ** 2)
         assert result.theta == pytest.approx(0.2, abs=1e-3)

@@ -1,14 +1,19 @@
-"""The diagonal-gate path of the shared gate kernels.
+"""The shared gate kernels: every path, on flat states and on batches.
 
 Every gate whose matrix has exactly-zero off-diagonal entries is applied as
 in-place phase multiplies on strided views of the state.  These tests run
 every diagonal gate of :mod:`repro.sim.gates` (plus a random two-target
-diagonal), with 0, 1 and 2 controls at random qubit positions, through the
-four kernel entry points and the density backend, and check each result
-against the generic gather/scatter path.  The generic kernels are patched to
-raise while the entry points run, which proves diagonal gates never reach
-them; a matrix with one tiny but nonzero off-diagonal must still take the
-generic path.
+diagonal), with 0, 1 and 2 controls at random qubit positions, through both
+kernel entry points on a flat state and on a batch, and through the density
+backend, and check each result against the generic gather/scatter path.  The
+generic kernels are patched to raise while the entry points run, which
+proves diagonal gates never reach them; a matrix with one tiny but nonzero
+off-diagonal must still take the generic path.
+
+``TestEveryPathFlatAndBatched`` then drives each kernel path — diagonal,
+1-qubit strided, gather (2 to 8 targets), the wide-operand contraction and
+controlled gates — and checks that a flat state, a ``(1, 2**n)`` batch and
+each row of a ``(B, 2**n)`` batch come out bit-identical.
 """
 
 import numpy as np
@@ -16,12 +21,7 @@ import pytest
 
 from repro.sim import DensityMatrixBackend, Statevector, gates
 from repro.sim import kernels
-from repro.sim.kernels import (
-    apply_controlled_batched,
-    apply_controlled_inplace,
-    apply_matrix_batched,
-    apply_matrix_inplace,
-)
+from repro.sim.kernels import apply_controlled, apply_matrix
 
 NUM_QUBITS = 5
 BATCH = 3
@@ -110,14 +110,14 @@ class TestDiagonalPath:
         expected = _generic(state, matrix, controls, targets)
 
         controlled_out = state.copy()
-        apply_controlled_inplace(controlled_out, NUM_QUBITS, matrix, controls, targets)
+        apply_controlled(controlled_out, NUM_QUBITS, matrix, controls, targets)
         np.testing.assert_allclose(controlled_out, expected, atol=1e-12)
 
         # The full controlled matrix is diagonal too: the plain entry point
         # takes it on ``controls + targets`` through the same path.
         full_out = state.copy()
         full = gates.controlled(matrix, num_controls=num_controls)
-        apply_matrix_inplace(full_out, NUM_QUBITS, full, controls + targets)
+        apply_matrix(full_out, NUM_QUBITS, full, controls + targets)
         np.testing.assert_allclose(full_out, expected, atol=1e-12)
 
     def test_batched_entry_points(self, name, num_controls, generic_kernels_raise):
@@ -128,12 +128,12 @@ class TestDiagonalPath:
         )
 
         controlled_out = batch.copy()
-        apply_controlled_batched(controlled_out, NUM_QUBITS, matrix, controls, targets)
+        apply_controlled(controlled_out, NUM_QUBITS, matrix, controls, targets)
         np.testing.assert_allclose(controlled_out, expected, atol=1e-12)
 
         full_out = batch.copy()
         full = gates.controlled(matrix, num_controls=num_controls)
-        apply_matrix_batched(full_out, NUM_QUBITS, full, controls + targets)
+        apply_matrix(full_out, NUM_QUBITS, full, controls + targets)
         np.testing.assert_allclose(full_out, expected, atol=1e-12)
 
     def test_density_backend_two_sided(self, name, num_controls, generic_kernels_raise):
@@ -167,7 +167,7 @@ class TestGenericPathKept:
         monkeypatch.setattr(kernels, "_gather_apply", spy)
         batch = _random_states(BATCH)
         expected = np.stack([_generic(row, matrix, [3], [1]) for row in batch])
-        apply_controlled_batched(batch, NUM_QUBITS, matrix, [3], [1])
+        apply_controlled(batch, NUM_QUBITS, matrix, [3], [1])
         assert len(calls) == 1
         np.testing.assert_allclose(batch, expected, atol=1e-12)
 
@@ -183,11 +183,108 @@ class TestGenericPathKept:
         monkeypatch.setattr(kernels, "_apply_1q_inplace", spy)
         (state,) = _random_states(1)
         expected = _generic(state, matrix, [], [2])
-        apply_matrix_inplace(state, NUM_QUBITS, matrix, [2])
+        apply_matrix(state, NUM_QUBITS, matrix, [2])
         assert len(calls) == 1
         np.testing.assert_allclose(state, expected, atol=1e-12)
 
     def test_patched_kernels_catch_non_diagonal_gates(self, generic_kernels_raise):
         (state,) = _random_states(1)
         with pytest.raises(AssertionError, match="generic kernel"):
-            apply_matrix_inplace(state, NUM_QUBITS, gates.H, [0])
+            apply_matrix(state, NUM_QUBITS, gates.H, [0])
+
+
+# ---------------------------------------------------------------------------
+# Every kernel path: flat state == (1, 2**n) batch == each row of a batch
+# ---------------------------------------------------------------------------
+
+#: (case id, num_qubits, num_controls, num_targets, diagonal, helper the
+#: case must reach).
+PATH_CASES = [
+    ("diagonal", 5, 0, 2, True, "_apply_diagonal"),
+    ("diagonal_controlled", 5, 2, 1, True, "_apply_diagonal"),
+    ("strided_1q", 5, 0, 1, False, "_apply_1q_inplace"),
+    *[(f"gather_{k}", 9, 0, k, False, "_gather_apply") for k in range(2, 9)],
+    ("contraction_9", 10, 0, 9, False, "_apply_dense_inplace"),
+    ("controlled_1q", 5, 1, 1, False, "_gather_apply"),
+    ("controlled_2c2t", 6, 2, 2, False, "_gather_apply"),
+    ("controlled_contraction", 10, 1, 9, False, "_apply_dense_inplace"),
+]
+
+
+def _random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _reference(state, num_qubits, matrix, controls, targets):
+    """Controlled ``matrix`` on ``targets`` by one gather per basis state."""
+    indices = np.arange(1 << num_qubits)
+    offsets = np.array(
+        [
+            sum(((value >> j) & 1) << t for j, t in enumerate(targets))
+            for value in range(matrix.shape[0])
+        ]
+    )
+    values = sum(((indices >> t) & 1) << j for j, t in enumerate(targets))
+    rest = indices & ~int(offsets[-1])
+    gathered = state[rest[:, None] | offsets[None, :]]
+    moved = np.einsum("iu,iu->i", matrix[values], gathered)
+    active = np.ones(indices.shape, dtype=bool)
+    for c in controls:
+        active &= ((indices >> c) & 1) == 1
+    return np.where(active, moved, state)
+
+
+@pytest.mark.parametrize("case", PATH_CASES, ids=lambda case: case[0])
+class TestEveryPathFlatAndBatched:
+    def _setup(self, case, monkeypatch):
+        name, num_qubits, num_controls, num_targets, diagonal, helper = case
+        rng = np.random.default_rng([SEED, num_qubits, num_controls, num_targets])
+        dim = 1 << num_targets
+        matrix = (
+            _random_diagonal(rng, dim) if diagonal else _random_unitary(rng, dim)
+        )
+        qubits = [int(q) for q in rng.permutation(num_qubits)]
+        controls = qubits[:num_controls]
+        targets = qubits[num_controls : num_controls + num_targets]
+        batch = rng.normal(size=(BATCH, 1 << num_qubits)) + 1j * rng.normal(
+            size=(BATCH, 1 << num_qubits)
+        )
+        batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+        calls = []
+        original = getattr(kernels, helper)
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, helper, spy)
+
+        def run(data):
+            out = np.array(data, dtype=complex)
+            if controls:
+                result = apply_controlled(out, num_qubits, matrix, controls, targets)
+            else:
+                result = apply_matrix(out, num_qubits, matrix, targets)
+            assert result is out
+            return out
+
+        return num_qubits, matrix, controls, targets, batch, run, calls
+
+    def test_flat_single_row_and_batch_rows_are_bit_identical(self, case, monkeypatch):
+        _, _, _, _, batch, run, calls = self._setup(case, monkeypatch)
+        batched = run(batch)
+        for row, member in zip(batch, batched):
+            flat = run(row)
+            single = run(row[None, :])
+            assert single.shape == (1, row.shape[0])
+            assert np.array_equal(flat, single[0])
+            assert np.array_equal(flat, member)
+        assert calls, f"{case[0]} never reached {case[5]}"
+
+    def test_matches_the_per_index_reference(self, case, monkeypatch):
+        num_qubits, matrix, controls, targets, batch, run, _ = self._setup(
+            case, monkeypatch
+        )
+        expected = _reference(batch[0], num_qubits, matrix, controls, targets)
+        np.testing.assert_allclose(run(batch[0]), expected, atol=1e-10)

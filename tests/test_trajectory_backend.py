@@ -45,8 +45,8 @@ from repro.sim import (
     spawn_trajectory_streams,
 )
 from repro.sim.kernels import (
-    apply_controlled_batched,
-    apply_matrix_batched,
+    apply_controlled,
+    apply_matrix,
     apply_pauli_batched,
     pauli_mask_kernel,
 )
@@ -197,7 +197,7 @@ class TestBatchedKernels:
             if rng.random() < 0.5:
                 free = [q for q in range(num_qubits) if q not in qubits]
                 controls = [int(free[0])]
-                apply_controlled_batched(
+                apply_controlled(
                     stacked, num_qubits, matrix, controls, qubits
                 )
                 for member in members:
@@ -206,7 +206,7 @@ class TestBatchedKernels:
                     sv.apply_controlled(matrix, controls, qubits)
                     member[:] = sv._state.data
             else:
-                apply_matrix_batched(stacked, num_qubits, matrix, qubits)
+                apply_matrix(stacked, num_qubits, matrix, qubits)
                 for member in members:
                     sv = StatevectorBackend(num_qubits)
                     sv._state.data[:] = member
@@ -1342,17 +1342,79 @@ _GOLDEN_REPORTS = {
 }
 
 
+_GOLDEN_SETTINGS = {
+    "readout_0.05": {"readout_error": 0.05},
+    "rerun": {"mode": "rerun"},
+    "rerun_damped": {
+        "mode": "rerun",
+        "noise": NoiseModel.from_channels([amplitude_damping(0.02)]),
+    },
+}
+
+#: sha256 of the seeded ``report.to_json()`` per (scenario, buggy, backend,
+#: setting, seed) on the single-state backends: readout draws under a
+#: symmetric 5% flip, ``"rerun"`` collapses (on the pure state, the density
+#: matrix and the tableau) and their outcome draws.  Clifford scenarios come
+#: from ``CLIFFORD_SCENARIOS`` at their moderate width.
+_GOLDEN_SINGLE_STATE_REPORTS = {
+    ('wrong_initial_value', False, 'statevector', 'readout_0.05', 0): "de11328bd4e3dba83e458e3d23c6da8295d7f85e6473e444972d07ed577901e2",
+    ('wrong_initial_value', False, 'statevector', 'rerun', 0): "f64b50572e1468b8e522eea7905b5081ac30a7ef351e9bfce172e724b6998d97",
+    ('wrong_initial_value', True, 'statevector', 'readout_0.05', 0): "15f49fdfd4e1c82de6417d574550409e97c5d39fef16144b2fc512869f7c8596",
+    ('wrong_initial_value', True, 'statevector', 'rerun', 0): "2c5df8bf1dba7f85512b9b504e8ec35ba52d38e7fc3da303f5433c763ddc5dc0",
+    ('flipped_rotation_angles', False, 'statevector', 'readout_0.05', 0): "a9922d3168ff7739662069284b7cae52338b68321eddfc86535866c5bd1cbf76",
+    ('flipped_rotation_angles', False, 'statevector', 'rerun', 0): "7495f1f651f4ea93e733fb941740ca68a66c6e113dc419e3ae5f18b60aecd904",
+    ('flipped_rotation_angles', True, 'statevector', 'readout_0.05', 0): "743cbf20b0eb0582f102a50f72438ae50366df56cf5fc52fe8078b3b528bc6fc",
+    ('flipped_rotation_angles', True, 'statevector', 'rerun', 0): "3178f6b992dc4e76f89b06b9b937571ca44506b6b5b4d1e1437ef846080b556b",
+    ('wrong_initial_value', False, 'density', 'readout_0.05', 0): "4f7221e48b50c569eec6847f6c52b71ea3fc7fcd70ca0cadd23a988a27ed274c",
+    ('wrong_initial_value', False, 'density', 'rerun', 0): "f64b50572e1468b8e522eea7905b5081ac30a7ef351e9bfce172e724b6998d97",
+    ('wrong_initial_value', False, 'density', 'rerun_damped', 0): "2e2c7058a3c7299092b6e3f972ff63799e9c17625f688726209a8d00cfd525ac",
+    ('wrong_initial_value', True, 'density', 'readout_0.05', 0): "2952d588dd598d7e66f4ca997ed1e973f1f520cebd22b65825891dd91037e83c",
+    ('wrong_initial_value', True, 'density', 'rerun', 0): "2c5df8bf1dba7f85512b9b504e8ec35ba52d38e7fc3da303f5433c763ddc5dc0",
+    ('wrong_initial_value', True, 'density', 'rerun_damped', 0): "42cf7b02c18bbe6068844dbf3fb418033b92a76d9ae6e347100f1a0a8fe76a68",
+    ('flipped_rotation_angles', False, 'density', 'readout_0.05', 0): "58178e1e7b364ac2dc426870c290c71bb26eda82e9e09b15536a023c977249a8",
+    ('flipped_rotation_angles', False, 'density', 'rerun', 0): "7495f1f651f4ea93e733fb941740ca68a66c6e113dc419e3ae5f18b60aecd904",
+    ('flipped_rotation_angles', False, 'density', 'rerun_damped', 0): "ae848779a49c7b67326cde15c51873fa22a7c0df96e79c032569a2e64bcbd3d7",
+    ('flipped_rotation_angles', True, 'density', 'readout_0.05', 0): "9458e9b370453f6757590c2dd08c1c23f8fbca30e8049337e3c27de7189ff707",
+    ('flipped_rotation_angles', True, 'density', 'rerun', 0): "3178f6b992dc4e76f89b06b9b937571ca44506b6b5b4d1e1437ef846080b556b",
+    ('flipped_rotation_angles', True, 'density', 'rerun_damped', 0): "bfa08497873234efadd1b3939bd53eed742b8576e8aa37e239d0c52524a5fce5",
+    ('ghz_broken_link', False, 'stabilizer', 'readout_0.05', 0): "c7330de52ef11cac861f423a1c8c1f16c7083e73f59bf6593194af2d467d1fc2",
+    ('ghz_broken_link', False, 'stabilizer', 'rerun', 0): "5114462c921c58d308ae7f3f0944d1001e585bd8d749267e6dd1540cdf3cb4d8",
+    ('ghz_broken_link', True, 'stabilizer', 'readout_0.05', 0): "f26854ed4e1c61eec90bb3669f9ac7cd36cccf35d3463675f0450101c1c9600d",
+    ('ghz_broken_link', True, 'stabilizer', 'rerun', 0): "c58faa1c4d0835994e80650fbce7b24583db8b93e978528e091129bf48394323",
+    ('teleport_missing_correction', False, 'stabilizer', 'readout_0.05', 0): "db6ecee34e6191d7436ef0531362ebef8620226c11453590c5c7df21bc5b8bbe",
+    ('teleport_missing_correction', False, 'stabilizer', 'rerun', 0): "0701f3cd01b349a84956b8202c3baf5e8453c99cb3d226c96c3e80e5c784601f",
+    ('teleport_missing_correction', True, 'stabilizer', 'readout_0.05', 0): "f15d6cbb6919ffb85a2822c36abae68de3915dafd21d85bbc9c2e179767fd861",
+    ('teleport_missing_correction', True, 'stabilizer', 'rerun', 0): "0b4d1c7db25eabd8c4c031f137aed58381ff970e2d7ce8f92c078a61038a6463",
+}
+
+
+def _golden_digest(name, buggy, **config):
+    import hashlib
+
+    from repro.workloads.clifford import CLIFFORD_SCENARIOS
+
+    scenario = BUG_SCENARIOS.get(name) or CLIFFORD_SCENARIOS[name]
+    program = scenario.build_buggy() if buggy else scenario.build_correct()
+    text = check_program(program, RunConfig(**config)).to_json()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestGoldenSeededReports:
     @pytest.mark.parametrize("cell", list(_GOLDEN_REPORTS), ids=str)
     def test_report_digest_is_pinned(self, cell):
-        import hashlib
-
         name, buggy, backend, noise, seed = cell
-        scenario = BUG_SCENARIOS[name]
-        program = scenario.build_buggy() if buggy else scenario.build_correct()
-        config = RunConfig(seed=seed, backend=backend, noise=_GOLDEN_NOISES[noise])
-        text = check_program(program, config).to_json()
-        assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_REPORTS[cell]
+        digest = _golden_digest(
+            name, buggy, seed=seed, backend=backend, noise=_GOLDEN_NOISES[noise]
+        )
+        assert digest == _GOLDEN_REPORTS[cell]
+
+    @pytest.mark.parametrize("cell", list(_GOLDEN_SINGLE_STATE_REPORTS), ids=str)
+    def test_single_state_report_digest_is_pinned(self, cell):
+        name, buggy, backend, setting, seed = cell
+        digest = _golden_digest(
+            name, buggy, seed=seed, backend=backend, **_GOLDEN_SETTINGS[setting]
+        )
+        assert digest == _GOLDEN_SINGLE_STATE_REPORTS[cell]
 
 
 # ---------------------------------------------------------------------------
