@@ -41,11 +41,13 @@ Job lifecycle::
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import pickle
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +63,11 @@ from .result_cache import ResultCache
 from .workers import RetryPolicy, WorkerPool, run_attempt
 
 __all__ = ["JobState", "Job", "LocalService", "ServiceClosed"]
+
+#: Bound on the summed length of the QASM texts the parse memo keeps.  A
+#: parsed program is 16–22 times the size of its text, so the memo holds a
+#: few MB of programs at most; a longer text is parsed and not kept.
+_PARSE_MEMO_CHARS = 256 * 1024
 
 
 class ServiceClosed(RuntimeError):
@@ -87,7 +94,14 @@ class JobState:
 
 @dataclass
 class Job:
-    """One submitted checking job and everything that happened to it."""
+    """One submitted checking job and everything that happened to it.
+
+    A finished job keeps its report as the JSON text it arrived as (the
+    worker's reply, the result-cache entry, or the static rung's report
+    serialised once) and drops its program pickle and config JSON, so a
+    client that holds many finished jobs holds a few KB for each.
+    :attr:`report` decodes that text on every access.
+    """
 
     id: str
     index: int
@@ -101,19 +115,29 @@ class Job:
     #: "exitcode", "duration", "backoff"}`` — the structured failure chain
     #: a FAILED/TIMEOUT job ships to the client.
     failure_chain: list = field(default_factory=list)
-    report: "DebugReport | None" = None
     cache_key: str = ""
     submitted_at: float = 0.0
     finished_at: "float | None" = None
-    #: The pickled program, held only while the job waits for a worker.
+    #: The pickled program and the config JSON, held only while the job
+    #: waits for or runs on a worker.
     _program_bytes: bytes = b""
     _config_json: str = ""
+    #: The finished report's JSON; ``None`` while in flight and for a job
+    #: that ended without a report.
+    _report_json: "str | None" = None
     _done: threading.Event = field(default_factory=threading.Event)
     _cancel: threading.Event = field(default_factory=threading.Event)
 
     @property
     def terminal(self) -> bool:
         return self.state in JobState.TERMINAL
+
+    @property
+    def report(self) -> "DebugReport | None":
+        """The finished report (a fresh decode), or ``None`` without one."""
+        if self._report_json is None:
+            return None
+        return DebugReport.from_json(self._report_json)
 
     def to_dict(self, include_report: bool = True) -> dict:
         """JSON-native job view (the HTTP layer's GET /jobs/<id> body)."""
@@ -185,6 +209,10 @@ class LocalService:
         self.result_cache = ResultCache(max_entries=cache_entries)
         self._jobs: "dict[str, Job]" = {}
         self._order: "list[str]" = []
+        #: QASM text -> the program ``from_qasm`` parsed from it, least
+        #: recently used first; the texts' lengths sum to ``_parsed_chars``.
+        self._parsed: "OrderedDict[str, Program]" = OrderedDict()
+        self._parsed_chars = 0
         self._lock = threading.RLock()
         self._counter = itertools.count()
         self._closed = False
@@ -226,7 +254,7 @@ class LocalService:
                 raise ServiceClosed("service is closed")
             index = next(self._counter)
         if isinstance(program, str):
-            program = from_qasm(program, name=f"job-{index}")
+            program = self._parse(program, name=f"job-{index}")
         elif not isinstance(program, Program):
             raise TypeError(
                 f"program must be a Program or QASM text, got {type(program)!r}"
@@ -260,13 +288,13 @@ class LocalService:
         if cached is not None:
             with self._lock:
                 self.inline_answers["cached"] += 1
-            self._finish(job, JobState.CACHED, DebugReport.from_json(cached))
+            self._finish(job, JobState.CACHED, cached)
             return job.id
         static = self._try_static(program, config)
         if static is not None:
             with self._lock:
                 self.inline_answers["static"] += 1
-            self._finish(job, JobState.STATIC, static)
+            self._finish(job, JobState.STATIC, static.to_json())
             return job.id
         job._program_bytes = pickle.dumps(program)
         try:
@@ -290,6 +318,34 @@ class LocalService:
             payload.get("config"),
             priority=int(payload.get("priority", 0)),
         )
+
+    def _parse(self, text: str, name: str) -> Program:
+        """``from_qasm(text)`` under ``name``, parsing each distinct text once.
+
+        The memo keeps the parsed program and hands each job a shallow copy
+        under the job's name.  The copy shares the frozen instructions, the
+        registers and the :class:`~repro.lang.program.InstructionList` that
+        carries the fingerprint memo, so a resubmission parses and hashes
+        nothing; the service never mutates these programs or hands them
+        out.  A text that fails to parse raises every time it is sent.
+        """
+        with self._lock:
+            parsed = self._parsed.get(text)
+            if parsed is not None:
+                self._parsed.move_to_end(text)
+        if parsed is None:
+            parsed = from_qasm(text, name=name)
+            if len(text) <= _PARSE_MEMO_CHARS:
+                with self._lock:
+                    if text not in self._parsed:
+                        self._parsed[text] = parsed
+                        self._parsed_chars += len(text)
+                        while self._parsed_chars > _PARSE_MEMO_CHARS:
+                            evicted, _ = self._parsed.popitem(last=False)
+                            self._parsed_chars -= len(evicted)
+        program = copy.copy(parsed)
+        program.name = name
+        return program
 
     def _derive_seed(self, index: int) -> int:
         """The pinned seed of submission ``index`` (scheduling-independent)."""
@@ -382,9 +438,8 @@ class LocalService:
                     self._finish(job, JobState.CANCELLED, None)
                     return
                 if outcome.status == "ok":
-                    report = DebugReport.from_json(outcome.report_json)
                     self.result_cache.put(job.cache_key, outcome.report_json)
-                    self._finish(job, JobState.DONE, report)
+                    self._finish(job, JobState.DONE, outcome.report_json)
                     return
                 failure = {
                     "attempt": attempt,
@@ -436,16 +491,17 @@ class LocalService:
             with self._lock:
                 self._active_threads.discard(threading.current_thread())
 
-    def _finish(self, job: Job, state: str, report: "DebugReport | None") -> None:
+    def _finish(self, job: Job, state: str, report_json: "str | None") -> None:
         with self._lock:
             if job._done.is_set():
                 # Already terminal (e.g. cancelled while the worker raced to
                 # its own answer): first writer wins, never overwrite.
                 return
             job.state = state
-            job.report = report
+            job._report_json = report_json
             job.finished_at = time.time()
             job._program_bytes = b""
+            job._config_json = ""
             job._done.set()
 
     # -- client surface --------------------------------------------------
@@ -463,7 +519,12 @@ class LocalService:
             return [self._jobs[job_id] for job_id in self._order]
 
     def report(self, job_id: str) -> "DebugReport | None":
-        """The finished report, or ``None`` while the job is in flight."""
+        """The finished report, or ``None`` while the job is in flight.
+
+        Decoded afresh from the JSON the job keeps, so callers may change
+        the returned report freely.  TIMEOUT, FAILED and CANCELLED jobs
+        have none.
+        """
         return self.job(job_id).report
 
     def cancel(self, job_id: str) -> Job:

@@ -32,8 +32,6 @@ Recognition is *structural*, never simulated:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from . import gates as _gates

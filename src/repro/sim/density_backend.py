@@ -265,7 +265,8 @@ class DensityMatrixBackend(SimulationBackend):
         diagonal = np.clip(np.real(np.einsum("ii->i", self._rho)), 0.0, None)
         if qubits is None:
             return diagonal
-        return _kernels.marginal_probabilities(diagonal, self._num_qubits, qubits)
+        qubit_list = _kernels.validated_qubits(qubits, self._num_qubits)
+        return _kernels.marginal_probabilities(diagonal, self._num_qubits, qubit_list)
 
     def readout_probabilities(
         self, qubits: Sequence[int] | None = None

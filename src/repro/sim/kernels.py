@@ -355,10 +355,11 @@ def marginal_probabilities(
     qubits, read little-endian in the given order, encode ``v``.  Both the
     statevector backend (on ``|amplitude|^2``) and the density-matrix backend
     (on the real diagonal of rho) reduce their readout to this kernel.
+    Like the gate kernels it trusts ``qubits``: each backend checks them
+    once, with :func:`validated_qubits`, at its public method.
     """
-    qubit_list = validated_qubits(qubits, num_qubits)
     tensor = probabilities.reshape([2] * num_qubits)
-    keep_axes = [num_qubits - 1 - q for q in reversed(qubit_list)]
+    keep_axes = [num_qubits - 1 - q for q in reversed(qubits)]
     other_axes = tuple(a for a in range(num_qubits) if a not in keep_axes)
     if other_axes:
         tensor = tensor.sum(axis=other_axes)

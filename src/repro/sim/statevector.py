@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -190,7 +190,8 @@ class Statevector:
         probs = np.abs(self.data) ** 2
         if qubits is None:
             return probs
-        return _kernels.marginal_probabilities(probs, self.num_qubits, qubits)
+        qubit_list = _kernels.validated_qubits(qubits, self.num_qubits)
+        return _kernels.marginal_probabilities(probs, self.num_qubits, qubit_list)
 
     def probability_of_outcome(self, qubits: Sequence[int], value: int) -> float:
         """Probability of measuring ``value`` on the listed qubits."""
@@ -234,7 +235,10 @@ class Statevector:
         given).  The state is renormalised after the projection.
         """
         qubit_list = _kernels.validated_qubits(qubits, self.num_qubits)
-        outcome = _kernels.draw_outcomes(self.probabilities(qubit_list), _as_rng(rng))
+        probs = _kernels.marginal_probabilities(
+            np.abs(self.data) ** 2, self.num_qubits, qubit_list
+        )
+        outcome = _kernels.draw_outcomes(probs, _as_rng(rng))
         self.data = _kernels.project(self.data, self.num_qubits, qubit_list, outcome)
         return outcome
 

@@ -653,12 +653,19 @@ class TrajectoryNoiseBackend(SimulationBackend):
         the readout confusion matrix, giving the exact noisy distribution of
         that trajectory.  Each distinct row is reduced once.
         """
+        if qubits is not None:
+            qubits = validated_qubits(qubits, self._num_qubits)
+        return self._member_marginals(qubits, readout)
+
+    def _member_marginals(
+        self, qubit_list: "list[int] | None", readout: bool = False
+    ) -> np.ndarray:
+        """:meth:`member_probabilities` over an already checked qubit list."""
         weights = np.abs(self._require_rows()) ** 2
         weights /= weights.sum(axis=1, keepdims=True)
-        if qubits is None:
+        if qubit_list is None:
             rows = weights
         else:
-            qubit_list = validated_qubits(qubits, self._num_qubits)
             rows = np.stack(
                 [
                     _kernels.marginal_probabilities(row, self._num_qubits, qubit_list)
@@ -733,7 +740,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
             )
         self._require_rows()
         qubit_list = validated_qubits(qubits, self._num_qubits)
-        probs = self.member_probabilities(qubit_list)[0]
+        probs = self._member_marginals(qubit_list)[0]
         outcome = _kernels.draw_outcomes(probs, _as_rng(rng))
         row = self._row_of[0]
         self._store[row] = _kernels.project(

@@ -683,6 +683,295 @@ class TestFinishedJobsHoldNoProgram:
 
 
 # ---------------------------------------------------------------------------
+# Finished jobs keep their report as JSON
+# ---------------------------------------------------------------------------
+
+
+def _recording_attempts(monkeypatch):
+    """Patch the service's ``run_attempt``; returns its (payload, outcome) log."""
+    import repro.service.jobs as jobs_module
+
+    log = []
+    real = jobs_module.run_attempt
+
+    def recorded(payload, *args, **kwargs):
+        outcome = real(payload, *args, **kwargs)
+        log.append((dict(payload), outcome))
+        return outcome
+
+    monkeypatch.setattr(jobs_module, "run_attempt", recorded)
+    return log
+
+
+def _static_report(program, config):
+    from repro.core.checker import StatisticalAssertionChecker
+
+    return StatisticalAssertionChecker(program, config).try_static_report()
+
+
+class TestFinishedJobsKeepReportJson:
+    STATIC_CFG = CFG.replace(static_preflight=True)
+
+    @staticmethod
+    def _assert_compact(job):
+        from repro.core.report import DebugReport
+
+        assert job._config_json == ""
+        assert job._report_json
+        assert not any(isinstance(value, DebugReport) for value in vars(job).values())
+
+    def test_done_cached_and_static_jobs_hold_json_only(self, monkeypatch):
+        attempts = _recording_attempts(monkeypatch)
+        with service() as svc:
+            done = svc.wait(svc.submit(build_bell_program(), CFG), timeout=WAIT)
+            cached = svc.job(svc.submit(build_bell_program(), CFG))
+            static = svc.job(svc.submit(build_ghz_program(3), self.STATIC_CFG))
+            cache_entry = svc.result_cache.get(done.cache_key)
+        assert (done.state, cached.state, static.state) == (
+            JobState.DONE, JobState.CACHED, JobState.STATIC
+        )
+        for job in (done, cached, static):
+            self._assert_compact(job)
+        ((_, outcome),) = attempts
+        # The worker's reply is kept as sent, and shared with the cache.
+        assert done._report_json is outcome.report_json
+        assert done.report.to_json() == outcome.report_json
+        assert cached._report_json is cache_entry
+        assert cached.report.to_json() == outcome.report_json
+        expected = _static_report(build_ghz_program(3), static.config)
+        assert static.report.to_json() == static._report_json == expected.to_json()
+
+    def test_each_access_decodes_a_fresh_report(self):
+        with service(max_workers=0) as svc:
+            job = svc.job(svc.submit(build_ghz_program(3), self.STATIC_CFG))
+            first = svc.report(job.id)
+            first.records.clear()
+            assert svc.report(job.id).num_breakpoints == 2
+            assert job.report is not job.report
+
+    def test_http_report_bodies_match_the_in_memory_reports(self):
+        from repro.core.report import DebugReport
+
+        with service() as svc, serve_http(svc) as server:
+            done = svc.wait(svc.submit(build_bell_program(), CFG), timeout=WAIT)
+            cached = svc.job(svc.submit(build_bell_program(), CFG))
+            static = svc.job(svc.submit(build_ghz_program(3), self.STATIC_CFG))
+            bodies = {}
+            for job in (done, cached, static):
+                with urllib.request.urlopen(
+                    server.url + f"/jobs/{job.id}/report"
+                ) as resp:
+                    bodies[job.state] = resp.read()
+        worker_report = DebugReport.from_json(done._report_json)
+        static_report = _static_report(build_ghz_program(3), static.config)
+        # The bodies the service sent when it kept report objects.
+        assert bodies[JobState.DONE] == json.dumps(worker_report.to_dict()).encode()
+        assert bodies[JobState.CACHED] == bodies[JobState.DONE]
+        assert bodies[JobState.STATIC] == json.dumps(static_report.to_dict()).encode()
+
+    def test_crash_retried_job_gets_its_config_on_every_attempt(self, monkeypatch):
+        attempts = _recording_attempts(monkeypatch)
+        with service(fault_spec="crash@0") as svc:
+            job = svc.wait(svc.submit(build_bell_program(), CFG), timeout=WAIT)
+        assert job.state == JobState.DONE and job.attempts == 2
+        assert [outcome.status for _, outcome in attempts] == ["crash", "ok"]
+        assert [payload["config_json"] for payload, _ in attempts] == [
+            job.config.to_json()
+        ] * 2
+        self._assert_compact(job)
+        assert job.report.to_json() == check_program(build_bell_program(), CFG).to_json()
+
+    def test_jobs_without_a_report_report_none(self):
+        with service(fault_spec="hang@0; error@1") as svc:
+            timed_out = svc.wait(
+                svc.submit(build_bell_program(), CFG.replace(job_timeout=0.5)),
+                timeout=WAIT,
+            )
+            failed = svc.wait(svc.submit(build_bell_program(), CFG), timeout=WAIT)
+        with service(max_workers=0) as svc:
+            cancelled = svc.cancel(svc.submit(build_bell_program(), CFG))
+            assert svc.report(cancelled.id) is None
+        assert (timed_out.state, failed.state, cancelled.state) == (
+            JobState.TIMEOUT, JobState.FAILED, JobState.CANCELLED
+        )
+        for job in (timed_out, failed, cancelled):
+            assert job.report is None and job.to_dict()["report"] is None
+            assert job._report_json is None and job._config_json == ""
+
+
+# ---------------------------------------------------------------------------
+# Parse memo: each distinct QASM text parsed once
+# ---------------------------------------------------------------------------
+
+
+def _counting_parser(monkeypatch):
+    """Patch the service's ``from_qasm``; returns the texts it was sent."""
+    import repro.service.jobs as jobs_module
+
+    texts = []
+    real = jobs_module.from_qasm
+
+    def counted(text, *args, **kwargs):
+        texts.append(text)
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(jobs_module, "from_qasm", counted)
+    return texts
+
+
+def _padded(text, total):
+    """``text`` padded with comment lines to exactly ``total`` characters."""
+    line = "// padding\n"
+    filler = total - len(text)
+    return text + line * (filler // len(line)) + " " * (filler % len(line))
+
+
+class TestParseMemo:
+    def test_resubmissions_under_new_seeds_parse_once(self, monkeypatch):
+        texts = _counting_parser(monkeypatch)
+        text = to_qasm(build_bell_program())
+        with service() as svc:
+            jobs = [
+                svc.wait(svc.submit(text, CFG.replace(seed=SEED + k)), timeout=WAIT)
+                for k in range(3)
+            ]
+        assert texts == [text]
+        assert [job.state for job in jobs] == [JobState.DONE] * 3
+        assert [job.program_name for job in jobs] == [f"job-{k}" for k in range(3)]
+
+    def test_reports_equal_a_fresh_parse_under_the_job_name(self):
+        from repro.lang.qasm import from_qasm
+
+        text = to_qasm(build_ghz_program(3))
+        configs = [
+            CFG, CFG.replace(seed=SEED + 1), CFG,
+            CFG.replace(seed=SEED + 2, static_preflight=True),
+        ]
+        with service() as svc:
+            jobs = [svc.wait(svc.submit(text, config), timeout=WAIT) for config in configs]
+        assert [job.state for job in jobs] == [
+            JobState.DONE, JobState.DONE, JobState.CACHED, JobState.STATIC
+        ]
+        for job in jobs:
+            if job.state == JobState.CACHED:
+                # A cached answer is its source job's report, byte for byte.
+                assert job.report.to_json() == jobs[0].report.to_json()
+                continue
+            program = from_qasm(text, name=f"job-{job.index}")
+            assert job.report.to_json() == check_program(program, job.config).to_json()
+
+    @pytest.mark.parametrize("line", ["rz(9**9**8) q[0];", "h q[0"])
+    def test_bad_text_raises_on_every_submit(self, monkeypatch, line):
+        from repro.lang.qasm import QasmError
+
+        texts = _counting_parser(monkeypatch)
+        text = to_qasm(build_bell_program()) + line + "\n"
+        with service(max_workers=0) as svc:
+            for _ in range(3):
+                with pytest.raises(QasmError):
+                    svc.submit(text, CFG)
+            assert len(svc._parsed) == 0 and svc._parsed_chars == 0
+            assert svc.jobs() == []
+        assert texts == [text] * 3
+
+    def test_memo_is_bounded_by_total_text_length(self, monkeypatch):
+        import repro.service.jobs as jobs_module
+
+        bound = jobs_module._PARSE_MEMO_CHARS
+        texts = _counting_parser(monkeypatch)
+        base = to_qasm(build_bell_program())
+        oversized = _padded(base, bound + 1)
+        with service(max_workers=0) as svc:
+            svc.submit(oversized, CFG)
+            svc.submit(oversized, CFG)
+            assert texts == [oversized] * 2
+            assert len(svc._parsed) == 0 and svc._parsed_chars == 0
+            exact = _padded(base, bound)
+            svc.submit(exact, CFG)
+            assert list(svc._parsed) == [exact] and svc._parsed_chars == bound
+            thirds = [_padded(f"// {k}\n" + base, bound // 3) for k in range(5)]
+            for text in thirds:
+                svc.submit(text, CFG)
+                assert svc._parsed_chars == sum(map(len, svc._parsed)) <= bound
+            # The bound-long text went first; the three latest thirds fit.
+            assert list(svc._parsed) == thirds[2:]
+            svc.submit(thirds[2], CFG)  # a hit refreshes its entry
+            svc.submit(thirds[0], CFG)
+            assert list(svc._parsed) == [thirds[4], thirds[2], thirds[0]]
+        assert texts.count(thirds[2]) == 1 and texts.count(thirds[0]) == 2
+
+    def test_concurrent_submitters_keep_the_memo_consistent(self):
+        import pickle
+        import sys
+
+        import repro.service.jobs as jobs_module
+        from repro.lang.qasm import from_qasm
+
+        bound = jobs_module._PARSE_MEMO_CHARS
+        base = to_qasm(build_ghz_program(3))
+        # Six texts of a quarter bound each: entries keep being evicted.
+        texts = [_padded(f"// {k}\n" + base, bound // 4) for k in range(6)]
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with service(max_workers=0) as svc:
+
+                def submitter(offset):
+                    try:
+                        for step in range(12):
+                            svc.submit(texts[(offset + step) % len(texts)], CFG)
+                    except Exception as exc:  # pragma: no cover
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=submitter, args=(k,)) for k in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors
+                assert svc._parsed_chars == sum(map(len, svc._parsed)) <= bound
+                jobs = svc.jobs()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(jobs) == 8 * 12
+        expected = len(from_qasm(base).instructions)
+        for job in jobs:
+            program = pickle.loads(job._program_bytes)
+            assert job.program_name == program.name == f"job-{job.index}"
+            assert len(program.instructions) == expected
+
+    def test_memoised_program_unchanged_by_done_cached_and_static_jobs(self):
+        text = to_qasm(build_ghz_program(3))
+        with service() as svc:
+            first = svc.wait(svc.submit(text, CFG), timeout=WAIT)
+            (memo,) = svc._parsed.values()
+            instructions = memo.instructions
+            before = (
+                memo.name, instructions.fingerprint, len(instructions),
+                list(instructions), list(memo.registers),
+            )
+            later = [
+                svc.wait(svc.submit(text, config), timeout=WAIT)
+                for config in (
+                    CFG, CFG.replace(seed=SEED + 1), CFG.replace(static_preflight=True),
+                )
+            ]
+            after = (
+                memo.name, instructions.fingerprint, len(instructions),
+                list(instructions), list(memo.registers),
+            )
+        assert [job.state for job in [first, *later]] == [
+            JobState.DONE, JobState.CACHED, JobState.DONE, JobState.STATIC
+        ]
+        assert instructions.fingerprint is not None
+        assert memo.instructions is instructions and after == before
+
+
+# ---------------------------------------------------------------------------
 # Worker lifecycle: forked once, reused, retired
 # ---------------------------------------------------------------------------
 

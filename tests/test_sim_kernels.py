@@ -288,3 +288,59 @@ class TestEveryPathFlatAndBatched:
         )
         expected = _reference(batch[0], num_qubits, matrix, controls, targets)
         np.testing.assert_allclose(run(batch[0]), expected, atol=1e-10)
+
+
+class TestReadoutOperandChecks:
+    """Each backend checks readout operands once, at its public method;
+    ``marginal_probabilities`` and ``project`` trust what they are given."""
+
+    @staticmethod
+    def _readout_methods():
+        from repro.sim import TrajectoryNoiseBackend
+
+        state = Statevector(3)
+        dense = DensityMatrixBackend().initialize(3).densify()
+        batch = TrajectoryNoiseBackend(3, batch_size=2)
+        single = TrajectoryNoiseBackend(3)
+        return [
+            state.probabilities,
+            lambda qubits: state.measure(qubits, rng=0),
+            lambda qubits: state.project(qubits, 0),
+            dense.probabilities,
+            batch.probabilities,
+            batch.member_probabilities,
+            batch.readout_probabilities,
+            batch.sample,
+            lambda qubits: single.measure(qubits, rng=0),
+        ]
+
+    @pytest.mark.parametrize(
+        "qubits, message",
+        [([3], "qubit index 3 out of range for 3 qubits"),
+         ([0, 0], r"duplicate qubits in \[0, 0\]")],
+    )
+    def test_every_public_readout_method_rejects_bad_operands(self, qubits, message):
+        for method in self._readout_methods():
+            with pytest.raises(ValueError, match=message):
+                method(qubits)
+
+    @pytest.mark.parametrize("kind", ["statevector", "trajectory"])
+    def test_a_rerun_collapse_checks_its_operands_once(self, monkeypatch, kind):
+        import repro.sim.trajectory_backend as trajectory_module
+        from repro.sim import TrajectoryNoiseBackend
+
+        calls = []
+        real = kernels.validated_qubits
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "validated_qubits", counted)
+        monkeypatch.setattr(trajectory_module, "validated_qubits", counted)
+        backend = Statevector(3) if kind == "statevector" else TrajectoryNoiseBackend(3)
+        backend.apply_matrix(gates.H, [1])
+        calls.clear()
+        outcome = backend.measure([1, 2], rng=np.random.default_rng(SEED))
+        assert len(calls) == 1
+        assert outcome in (0, 1)
