@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Checking 128-qubit Clifford programs on the bit-packed tableau.
+"""Checking 128-qubit Clifford programs on the big-int column tableau.
 
 A dense statevector at 128 qubits would need ``2**128 x 16`` bytes — twenty
 orders of magnitude beyond any machine — yet the stabilizer checker walks
-the same breakpoint pipeline at that width in milliseconds: the bit-packed
+the same breakpoint pipeline at that width in milliseconds: the column
 tableau costs O(n^2 / 64) words, and the Clifford workloads keep asserted
 groups narrow (chain ends, syndrome windows), so the sparse branching
 readout never materialises a wide histogram.

@@ -302,9 +302,10 @@ class _AbstractState:
             # (or ever was) entangled with — taint the whole component, then
             # force q itself back to a clean constant.
             self.top.update(self._component(q))
-            if self.tableau.deterministic_outcome(q) is None:
-                self.tableau.collapse(q, 0)
             deterministic = self.tableau.deterministic_outcome(q)
+            if deterministic is None:
+                self.tableau.collapse(q, 0)
+                deterministic = 0
             self.top.discard(q)
         if deterministic != instruction.value:
             self.tableau.xgate(q)
@@ -499,7 +500,7 @@ class _AbstractState:
                     tag = "top"
                 elif qi not in self.touched:
                     tag = "zero"
-                elif self.tableau.deterministic_outcome(qi) is not None:
+                elif not self.tableau.is_random(qi):
                     tag = "classical"
                 elif len(self._component(qi) - self.top) > 1:
                     tag = "entangled"

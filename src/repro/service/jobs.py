@@ -403,11 +403,13 @@ class LocalService:
             )
             crashes = 0
             while True:
-                if job._cancel.is_set():
-                    self._finish(job, JobState.CANCELLED, None)
-                    return
-                attempt = job.attempts
+                # One lock hold for the check and the state change: a cancel
+                # that finishes a still-QUEUED job must not be overwritten.
                 with self._lock:
+                    if job._cancel.is_set() or job._done.is_set():
+                        self._finish(job, JobState.CANCELLED, None)
+                        return
+                    attempt = job.attempts
                     job.state = JobState.RUNNING
                     job.attempts += 1
                 outcome = run_attempt(

@@ -55,12 +55,7 @@ __all__ = [
     "project",
     "pauli_mask_kernel",
     "marginal_probabilities",
-    "popcount_u64",
     "locate_bit",
-    "pack_bits_to_words",
-    "unpack_words_to_bits",
-    "ints_to_bits",
-    "bits_to_ints",
 ]
 
 #: Above this many target qubits the gather loop (2**k python iterations)
@@ -69,33 +64,13 @@ _GATHER_MAX_TARGETS = 8
 
 
 # ---------------------------------------------------------------------------
-# Bit-packing kernels (shared by the packed tableau and Pauli frames)
+# Packed-word addressing (Pauli frames)
 # ---------------------------------------------------------------------------
 #
-# The packed stabilizer engine stores binary symplectic data as uint64 words
-# (bit j of word w = entry 64 * w + j, little-endian throughout) and as
-# arbitrary-precision Python ints (bit i = entry i).  The helpers below
-# convert between the three spellings — 0/1 uint8 matrices, uint64 word
-# arrays, and big-int bit-vectors — and give a vectorised popcount.
-
-if hasattr(np, "bitwise_count"):
-
-    def popcount_u64(words: np.ndarray) -> np.ndarray:
-        """Per-element popcount of a uint64 array."""
-        return np.bitwise_count(words)
-
-else:  # pragma: no cover - NumPy < 2.0 fallback
-    _POPCOUNT_TABLE = np.array(
-        [bin(value).count("1") for value in range(256)], dtype=np.uint8
-    )
-
-    def popcount_u64(words: np.ndarray) -> np.ndarray:
-        """Per-element popcount of a uint64 array (byte-table fallback)."""
-        as_bytes = np.ascontiguousarray(words).view(np.uint8)
-        return (
-            _POPCOUNT_TABLE[as_bytes].reshape(words.shape + (8,)).sum(axis=-1)
-        )
-
+# Pauli frames store one symplectic bit per qubit as uint64 words (bit j of
+# word w = qubit 64 * w + j, little-endian).  The stabilizer tableau needs no
+# word arrays: its columns are arbitrary-precision Python ints (bit i = row
+# i), and its measurement reads are bit-sliced over those ints.
 
 _ONE64 = np.uint64(1)
 
@@ -104,48 +79,6 @@ def locate_bit(index: int) -> tuple[int, np.uint64, np.uint64]:
     """(word, in-word shift, single-bit mask) of entry ``index`` in packed words."""
     shift = np.uint64(index & 63)
     return index >> 6, shift, _ONE64 << shift
-
-
-def pack_bits_to_words(bits: np.ndarray) -> np.ndarray:
-    """Pack a ``(rows, n)`` 0/1 matrix into ``(rows, ceil(n/64))`` uint64 words.
-
-    Bit ``j`` of word ``w`` in a row holds column ``64 * w + j``; padding bits
-    beyond ``n`` are zero.
-    """
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    rows, n = bits.shape
-    num_words = max((n + 63) // 64, 1)
-    padded = np.zeros((rows, num_words * 64), dtype=np.uint8)
-    padded[:, :n] = bits
-    return (
-        np.packbits(padded, axis=1, bitorder="little")
-        .view(np.dtype("<u8"))
-        .astype(np.uint64, copy=False)
-    )
-
-
-def unpack_words_to_bits(words: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits_to_words`: ``(rows, W)`` words -> ``(rows, n)`` bits."""
-    as_bytes = np.ascontiguousarray(words.astype(np.dtype("<u8"), copy=False)).view(
-        np.uint8
-    )
-    return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :n]
-
-
-def ints_to_bits(values: Sequence[int], num_bits: int) -> np.ndarray:
-    """Big-int bit-vectors -> a ``(len(values), num_bits)`` 0/1 uint8 matrix."""
-    num_bytes = max((num_bits + 7) // 8, 1)
-    buffer = b"".join(int(value).to_bytes(num_bytes, "little") for value in values)
-    as_bytes = np.frombuffer(buffer, dtype=np.uint8).reshape(len(values), num_bytes)
-    return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :num_bits]
-
-
-def bits_to_ints(bits: np.ndarray) -> "list[int]":
-    """Each row of a ``(rows, num_bits)`` 0/1 matrix -> one big-int bit-vector."""
-    packed = np.packbits(
-        np.ascontiguousarray(bits, dtype=np.uint8), axis=1, bitorder="little"
-    )
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _subspace_indices(

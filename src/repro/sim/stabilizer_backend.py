@@ -18,17 +18,19 @@ The state is the standard 2n x (2n+1) binary tableau: rows 0..n-1 are
 ``(x | z | r)`` bit-vector encoding the Pauli ``(-1)^r  Π_j P_j`` with
 ``P_j`` one of I/X/Y/Z per the ``(x_j, z_j)`` pair.  Gates are column
 updates; measurement is the Aaronson–Gottesman procedure (deterministic
-outcomes read off a scratch row, random outcomes collapse one stabilizer).
+outcomes are the sign of a product of stabilizers, random outcomes collapse
+one stabilizer).
 
-The tableau is **bit-packed** in two complementary layouts (see
-:class:`_Tableau`): single-qubit columns live as arbitrary-width Python
-integers (bit ``i`` = row ``i``), making every gate a handful of O(n/64)
-word-wise integer ops, while measurement transposes into
-``(2n+1) x ceil(n/64)`` ``uint64`` row arrays (:class:`_PackedRows`, one
-scratch row) where rowsum phase accumulation is a popcount over packed
-words.  The historical one-byte-per-bit engine survives as
-:class:`_UnpackedTableau` — the correctness oracle for the packed engine's
-property tests and the baseline for ``benchmarks/bench_width.py``.
+The tableau has **one layout** (see :class:`_Tableau`): each qubit's ``x``
+and ``z`` columns are arbitrary-width Python integers (bit ``i`` = row
+``i``), so every gate is a handful of O(n/64) word-wise integer ops.
+Measurement works on the same columns, bit-sliced over rows: a random qubit
+is a one-shift test, a row product's sign is summed column by column, and
+``collapse`` runs every ``rowsum`` at once with the per-row phase exponents
+in a bit-sliced mod-4 counter — no transpose into rows.  The historical
+one-byte-per-bit engine survives as :class:`_UnpackedTableau` — the
+correctness oracle for the column engine's property tests and the baseline
+for ``benchmarks/bench_width.py``.
 
 Readout
 -------
@@ -67,14 +69,8 @@ from .clifford import (
     decompose_gate,
 )
 from .kernels import (
-    bits_to_ints,
     draw_outcomes,
-    ints_to_bits,
-    locate_bit,
-    pack_bits_to_words,
     pauli_mask_kernel,
-    popcount_u64,
-    unpack_words_to_bits,
     validated_matrix,
     validated_qubits,
 )
@@ -104,7 +100,7 @@ _CONVERSION_LIMIT = 24
 class _UnpackedTableau:
     """The historical one-byte-per-bit tableau (reference engine).
 
-    Kept as the packed engine's correctness oracle: it shares the gate /
+    Kept as the column engine's correctness oracle: it shares the gate /
     ``deterministic_outcome`` / ``collapse`` / ``copy`` duck-type with
     :class:`_Tableau`, so :func:`tableau_outcome_distribution` and the
     property tests in ``tests/test_packed_tableau.py`` can drive both and
@@ -275,180 +271,33 @@ class _UnpackedTableau:
         self.r[p] = np.uint8(outcome)
 
 
-_ONE64 = np.uint64(1)
-
-
-class _PackedRows:
-    """Row-major bit-packed tableau: the measurement engine.
-
-    ``x`` and ``z`` are ``(2n+1, ceil(n/64))`` ``uint64`` arrays — bit
-    ``q mod 64`` of word ``q // 64`` in row ``i`` is the symplectic bit of
-    generator ``i`` on qubit ``q``; row ``2n`` is the Aaronson–Gottesman
-    scratch row for deterministic readout.  ``r`` is the per-row sign bit.
-    Rowsum phase accumulation (:meth:`_g_sum`) is a popcount over packed
-    words, so ``collapse`` costs O(n²/64) instead of O(n²) bytes touched.
-    """
-
-    __slots__ = ("n", "num_words", "x", "z", "r")
-
-    def __init__(self, num_qubits: int):
-        self.n = int(num_qubits)
-        self.num_words = max((self.n + 63) // 64, 1)
-        rows = 2 * self.n + 1
-        self.x = np.zeros((rows, self.num_words), dtype=np.uint64)
-        self.z = np.zeros((rows, self.num_words), dtype=np.uint64)
-        self.r = np.zeros(rows, dtype=np.uint8)
-
-    @classmethod
-    def from_cols(cls, n: int, x_cols, z_cols, r_int: int) -> "_PackedRows":
-        """Transpose big-int columns (bit i = row i) into packed rows."""
-        packed = cls(n)
-        rows = 2 * n
-        if n:
-            x_bits = ints_to_bits(x_cols, rows)  # (qubit, row)
-            z_bits = ints_to_bits(z_cols, rows)
-            packed.x[:rows] = pack_bits_to_words(x_bits.T)
-            packed.z[:rows] = pack_bits_to_words(z_bits.T)
-            packed.r[:rows] = ints_to_bits([r_int], rows)[0]
-        return packed
-
-    def to_cols(self) -> tuple[list[int], list[int], int]:
-        """Transpose packed rows back into big-int columns."""
-        rows = 2 * self.n
-        x_bits = unpack_words_to_bits(self.x[:rows], self.n)  # (row, qubit)
-        z_bits = unpack_words_to_bits(self.z[:rows], self.n)
-        x_cols = bits_to_ints(x_bits.T)
-        z_cols = bits_to_ints(z_bits.T)
-        r_bytes = np.packbits(self.r[:rows], bitorder="little").tobytes()
-        return x_cols, z_cols, int.from_bytes(r_bytes, "little")
-
-    def copy(self) -> "_PackedRows":
-        clone = _PackedRows.__new__(_PackedRows)
-        clone.n = self.n
-        clone.num_words = self.num_words
-        clone.x = self.x.copy()
-        clone.z = self.z.copy()
-        clone.r = self.r.copy()
-        return clone
-
-    # -- row arithmetic -------------------------------------------------
-
-    @staticmethod
-    def _g_sum(
-        x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray
-    ) -> np.ndarray:
-        """Summed Aaronson–Gottesman ``g`` exponent over packed words.
-
-        ``g = +1`` exactly on the bit patterns collected in ``plus`` and
-        ``-1`` on those in ``minus`` (I factors and matching Paulis give 0),
-        so the qubit-axis sum is a popcount difference.  Every product term
-        ANDs at least one non-negated factor, so the zero padding bits above
-        qubit ``n-1`` can never contribute.  Broadcasts: ``x2``/``z2`` may
-        be one row or a stack of rows.
-        """
-        plus = (
-            (x1 & z1 & z2 & ~x2) | (x1 & ~z1 & x2 & z2) | (~x1 & z1 & x2 & ~z2)
-        )
-        minus = (
-            (x1 & z1 & x2 & ~z2) | (x1 & ~z1 & z2 & ~x2) | (~x1 & z1 & x2 & z2)
-        )
-        return (
-            popcount_u64(plus).astype(np.int64).sum(axis=-1)
-            - popcount_u64(minus).astype(np.int64).sum(axis=-1)
-        )
-
-    def rowsum_into(self, rows, source: int) -> None:
-        """Left-multiply each row in ``rows`` by row ``source`` (vectorised)."""
-        g = self._g_sum(self.x[source], self.z[source], self.x[rows], self.z[rows])
-        total = 2 * self.r[rows].astype(np.int64) + 2 * int(self.r[source]) + g
-        self.r[rows] = ((total % 4) // 2).astype(np.uint8)
-        self.x[rows] ^= self.x[source]
-        self.z[rows] ^= self.z[source]
-
-    # -- measurement ----------------------------------------------------
-
-    def random_row(self, q: int) -> int | None:
-        """Index of a stabilizer row anticommuting with Z_q, if any."""
-        w, _, bit = locate_bit(q)
-        candidates = np.flatnonzero(self.x[self.n : 2 * self.n, w] & bit)
-        return int(candidates[0]) + self.n if candidates.size else None
-
-    def deterministic_outcome(self, q: int) -> int | None:
-        """The certain outcome of qubit ``q`` (via the scratch row), or None."""
-        if self.random_row(q) is not None:
-            return None
-        n = self.n
-        scratch = 2 * n
-        self.x[scratch] = 0
-        self.z[scratch] = 0
-        self.r[scratch] = 0
-        w, _, bit = locate_bit(q)
-        for i in np.flatnonzero(self.x[:n, w] & bit):
-            self.rowsum_into(scratch, int(i) + n)
-        return int(self.r[scratch])
-
-    def collapse(self, q: int, outcome: int) -> None:
-        """Project qubit ``q`` onto ``outcome`` (must be a random outcome)."""
-        p = self.random_row(q)
-        if p is None:
-            raise ValueError(
-                f"qubit {q} is deterministic; collapse needs a 50/50 outcome"
-            )
-        n = self.n
-        w, _, bit = locate_bit(q)
-        others = np.flatnonzero(self.x[: 2 * n, w] & bit)
-        others = others[others != p]
-        if others.size:
-            self.rowsum_into(others, p)
-        self.x[p - n] = self.x[p]
-        self.z[p - n] = self.z[p]
-        self.r[p - n] = self.r[p]
-        self.x[p] = 0
-        self.z[p] = 0
-        self.z[p, w] = bit
-        self.r[p] = np.uint8(outcome)
-
-    # -- dense access ---------------------------------------------------
-
-    def row_masks(self, row: int) -> tuple[int, int]:
-        """Row ``row``'s ``(x, z)`` qubit masks as arbitrary-width ints."""
-        x_mask = int.from_bytes(
-            self.x[row].astype(np.dtype("<u8"), copy=False).tobytes(), "little"
-        )
-        z_mask = int.from_bytes(
-            self.z[row].astype(np.dtype("<u8"), copy=False).tobytes(), "little"
-        )
-        return x_mask, z_mask
-
-
 class _Tableau:
-    """Bit-packed binary tableau: the production Clifford engine.
+    """Binary tableau as big-int columns: the production Clifford engine.
 
-    Two packed layouts, synchronised lazily:
+    ``_x[q]`` / ``_z[q]`` hold qubit ``q``'s column as an arbitrary-width
+    Python integer (bit ``i`` = row ``i``) and ``_r`` holds every row's sign
+    bit the same way.  A gate touches one or two columns, so H/S/CX/CZ/SWAP
+    are a handful of word-wise big-int ops — O(n/64) machine words with no
+    per-row Python loop and no NumPy dispatch overhead, which is what makes
+    100–200-qubit walks routine.
 
-    * **Gate layout** — per-qubit *columns* as arbitrary-width Python
-      integers (``_x[q]`` / ``_z[q]``, bit ``i`` = row ``i``; ``_r`` one
-      integer over rows).  A gate touches one or two columns, so H/S/CX/CZ/
-      SWAP are a handful of word-wise big-int ops — O(n/64) machine words
-      with no per-row Python loop and no NumPy dispatch overhead, which is
-      what makes 100–200-qubit walks routine.
-    * **Measurement layout** — :class:`_PackedRows`, the
-      ``(2n+1) x ceil(n/64)`` ``uint64`` row arrays, built on demand by a
-      transpose bridge; rowsum/collapse work there because they combine
-      whole rows.
+    Measurement reads the same columns, bit-sliced over rows:
 
-    ``_cols_ok`` marks the column layout authoritative; ``_packed`` holds
-    the row mirror (``None`` when stale).  Gates invalidate the mirror;
-    ``collapse`` invalidates the columns (rebuilt by the reverse bridge on
-    the next gate).  Pauli gates are self-inverse column XORs on the sign
-    only, so they are applied directly to whichever layout is live.
+    * qubit ``q`` is random iff a stabilizer row has an X bit on it,
+      ``_x[q] >> n != 0`` (:meth:`is_random`);
+    * a deterministic outcome, or the sign of a Pauli in the stabilizer
+      group, is the sign of a product of commuting stabilizer rows, summed
+      column by column (:meth:`_row_product_sign`);
+    * ``collapse`` runs every Aaronson–Gottesman ``rowsum(h, p)`` at once in
+      one pass over the columns, with the per-row ``g`` exponents kept in a
+      bit-sliced mod-4 counter.
 
     Snapshots (:meth:`snapshot_token`) are tuples of the column integers —
     immutable, so restoring or re-snapshotting shares them copy-on-write
     instead of deep-copying O(n²) bytes per checkpoint.
     """
 
-    __slots__ = ("n", "_x", "_z", "_r", "_packed", "_cols_ok")
+    __slots__ = ("n", "_x", "_z", "_r")
 
     def __init__(self, num_qubits: int):
         n = int(num_qubits)
@@ -456,127 +305,62 @@ class _Tableau:
         self._x = [1 << q for q in range(n)]  # destabilizer q = X_q
         self._z = [1 << (n + q) for q in range(n)]  # stabilizer q = Z_q
         self._r = 0
-        self._packed: _PackedRows | None = None
-        self._cols_ok = True
 
     def copy(self) -> "_Tableau":
         clone = _Tableau.__new__(_Tableau)
         clone.n = self.n
-        if self._cols_ok:
-            clone._x = list(self._x)
-            clone._z = list(self._z)
-            clone._r = self._r
-        else:
-            clone._x = clone._z = None  # rebuilt from the packed mirror
-            clone._r = 0
-        clone._cols_ok = self._cols_ok
-        clone._packed = self._packed.copy() if self._packed is not None else None
+        clone._x = list(self._x)
+        clone._z = list(self._z)
+        clone._r = self._r
         return clone
 
-    # -- layout bridges -------------------------------------------------
-
-    def _ensure_cols(self) -> None:
-        if not self._cols_ok:
-            self._x, self._z, self._r = self._packed.to_cols()
-            self._cols_ok = True
-
-    def _ensure_packed(self) -> _PackedRows:
-        if self._packed is None:
-            self._packed = _PackedRows.from_cols(self.n, self._x, self._z, self._r)
-        return self._packed
-
-    # -- gates (column layout) ------------------------------------------
+    # -- gates ----------------------------------------------------------
 
     def h(self, q: int) -> None:
-        if not self._cols_ok:
-            self._ensure_cols()
         x, z = self._x, self._z
         self._r ^= x[q] & z[q]
         x[q], z[q] = z[q], x[q]
-        self._packed = None
 
     def s(self, q: int) -> None:
-        if not self._cols_ok:
-            self._ensure_cols()
         xq = self._x[q]
         self._r ^= xq & self._z[q]
         self._z[q] ^= xq
-        self._packed = None
 
     def sdg(self, q: int) -> None:
-        if not self._cols_ok:
-            self._ensure_cols()
         xq = self._x[q]
         self._r ^= xq & ~self._z[q]  # Sdg = Z . S folds the extra sign in
         self._z[q] ^= xq
-        self._packed = None
 
     def xgate(self, q: int) -> None:
-        if self._cols_ok:
-            self._r ^= self._z[q]
-            self._packed = None
-        else:  # sign-only update: cheaper on the live mirror than a bridge
-            packed = self._packed
-            rows = 2 * packed.n
-            w, shift, _ = locate_bit(q)
-            packed.r[:rows] ^= (
-                (packed.z[:rows, w] >> shift) & _ONE64
-            ).astype(np.uint8)
+        self._r ^= self._z[q]
 
     def ygate(self, q: int) -> None:
-        if self._cols_ok:
-            self._r ^= self._x[q] ^ self._z[q]
-            self._packed = None
-        else:
-            packed = self._packed
-            rows = 2 * packed.n
-            w, shift, _ = locate_bit(q)
-            packed.r[:rows] ^= (
-                ((packed.x[:rows, w] ^ packed.z[:rows, w]) >> shift) & _ONE64
-            ).astype(np.uint8)
+        self._r ^= self._x[q] ^ self._z[q]
 
     def zgate(self, q: int) -> None:
-        if self._cols_ok:
-            self._r ^= self._x[q]
-            self._packed = None
-        else:
-            packed = self._packed
-            rows = 2 * packed.n
-            w, shift, _ = locate_bit(q)
-            packed.r[:rows] ^= (
-                (packed.x[:rows, w] >> shift) & _ONE64
-            ).astype(np.uint8)
+        self._r ^= self._x[q]
 
     def cx(self, control: int, target: int) -> None:
-        if not self._cols_ok:
-            self._ensure_cols()
         x, z = self._x, self._z
         xc, zt = x[control], z[target]
         self._r ^= xc & zt & ~(x[target] ^ z[control])
         x[target] ^= xc
         z[control] ^= zt
-        self._packed = None
 
     def cz(self, control: int, target: int) -> None:
         # Direct rule (H_t CX H_t composed symbolically): symmetric in the
         # two qubits, phase flips where both X bits are set and exactly one
         # Z bit is.
-        if not self._cols_ok:
-            self._ensure_cols()
         x, z = self._x, self._z
         xc, xt = x[control], x[target]
         self._r ^= xc & xt & (z[control] ^ z[target])
         z[control] ^= xt
         z[target] ^= xc
-        self._packed = None
 
     def swap(self, a: int, b: int) -> None:
-        if not self._cols_ok:
-            self._ensure_cols()
         x, z = self._x, self._z
         x[a], x[b] = x[b], x[a]
         z[a], z[b] = z[b], z[a]
-        self._packed = None
 
     _OPS = {
         "h": h,
@@ -594,7 +378,7 @@ class _Tableau:
         """Run a recognised op word; slots index into ``qubits``.
 
         The op dispatch is deliberately branch-on-arity instead of the
-        starred-unpack idiom: the packed gates themselves are ~0.2 µs, so a
+        starred-unpack idiom: the column gates themselves are ~0.2 µs, so a
         per-op tuple allocation would dominate the walk at width.
         """
         table = self._OPS
@@ -604,38 +388,133 @@ class _Tableau:
             else:
                 table[op[0]](self, qubits[op[1]], qubits[op[2]])
 
-    # -- measurement (packed-row layout) --------------------------------
+    # -- measurement ----------------------------------------------------
 
-    def _random_row(self, q: int) -> int | None:
-        """Index of a stabilizer row anticommuting with Z_q, if any."""
-        return self._ensure_packed().random_row(q)
+    def is_random(self, q: int) -> bool:
+        """Whether measuring qubit ``q`` is a 50/50 coin.
+
+        True iff some stabilizer row anticommutes with ``Z_q``, i.e. has an
+        X bit on ``q``.
+        """
+        return self._x[q] >> self.n != 0
+
+    def _row_product_sign(self, rows: int) -> int:
+        """Sign bit of the product of the commuting rows in the mask ``rows``.
+
+        Per column, the rows' single-qubit Paulis ``i^(xz) X^x Z^z`` multiply
+        in row order to ``i^e X^X Z^Z`` with ``X``/``Z`` the parities of the
+        column's ``x``/``z`` bits in ``rows``, where ``e`` counts the Y
+        factors plus twice the parity of moving each ``Z`` past the ``X`` of
+        every later row: ``popcount(x & z) + 2 parity(x & prefix(z))`` with
+        ``prefix`` the exclusive prefix-XOR over rows.  Rewriting
+        ``X^X Z^Z`` as the row Pauli costs ``-X·Z``.  With the signs' ``2
+        popcount(r & rows)`` the exponent of ``i`` is 0 or 2 mod 4.
+        """
+        exponent = 2 * (self._r & rows).bit_count()
+        shifts = []
+        shift, span = 1, rows.bit_length()
+        while shift < span:
+            shifts.append(shift)
+            shift <<= 1
+        for xc, zc in zip(self._x, self._z):
+            x = xc & rows
+            if not x:
+                continue
+            z = zc & rows
+            if not z:
+                continue
+            prefix = z << 1
+            for shift in shifts:
+                prefix ^= prefix << shift
+            exponent += (
+                (x & z).bit_count()
+                + 2 * (x & prefix).bit_count()
+                - (x.bit_count() & z.bit_count() & 1)
+            )
+        return (exponent % 4) >> 1
+
+    def row_masks(self, rows: int) -> tuple[int, int]:
+        """The ``(x, z)`` qubit masks of the product of the rows in ``rows``."""
+        x_mask = z_mask = 0
+        for q, (xc, zc) in enumerate(zip(self._x, self._z)):
+            x_mask |= ((xc & rows).bit_count() & 1) << q
+            z_mask |= ((zc & rows).bit_count() & 1) << q
+        return x_mask, z_mask
 
     def deterministic_outcome(self, q: int) -> int | None:
         """The certain measurement outcome of qubit ``q``, or None if 50/50.
 
-        Read off the packed scratch row; the state itself is untouched, so
-        the column layout (when live) stays valid.
+        The stabilizers indexed by the destabilizers that anticommute with
+        ``Z_q`` multiply to ``±Z_q`` (the state is already a ``Z_q``
+        eigenstate), and the sign of that product is the outcome; the
+        tableau is not modified.
         """
-        return self._ensure_packed().deterministic_outcome(q)
+        if self.is_random(q):
+            return None
+        # Not random: column q has X bits on destabilizer rows only.
+        return self._row_product_sign(self._x[q] << self.n)
 
     def collapse(self, q: int, outcome: int) -> None:
-        """Project qubit ``q`` onto ``outcome`` (must be a random outcome)."""
-        self._ensure_packed().collapse(q, outcome)
-        self._cols_ok = False
+        """Project qubit ``q`` onto ``outcome`` (must be a random outcome).
+
+        Row ``p`` is the first stabilizer anticommuting with ``Z_q``.  One
+        pass over the columns left-multiplies every other row with an X bit
+        on ``q`` by row ``p`` — each row's ``g`` exponent accumulated in the
+        bit-sliced mod-4 counter ``(hi, lo)`` — then moves row ``p`` to
+        destabilizer ``p - n`` and makes row ``p`` the stabilizer ``±Z_q``.
+        """
+        n = self.n
+        stabilizers = self._x[q] >> n
+        if not stabilizers:
+            raise ValueError(
+                f"qubit {q} is deterministic; collapse needs a 50/50 outcome"
+            )
+        p = (stabilizers & -stabilizers).bit_length() - 1 + n
+        source = 1 << p
+        dest = source >> n
+        targets = self._x[q] & ~source
+        keep = ~(source | dest)
+        xs, zs = [], []
+        lo = hi = 0
+        for xc, zc in zip(self._x, self._z):
+            x1, z1 = xc & source, zc & source
+            if x1 or z1:
+                # On this qubit, g(row p, row h) is nonzero for the rows h
+                # in ``moved`` and -1 for those in ``minus``.
+                if x1 and z1:  # Y: g = z2 - x2
+                    moved = xc ^ zc
+                    minus = moved & xc
+                elif x1:  # X: g = z2 (2 x2 - 1)
+                    moved = zc
+                    minus = zc & ~xc
+                else:  # Z: g = x2 (1 - 2 z2)
+                    moved = xc
+                    minus = xc & zc
+                # Add +1 / -1 to the rows' mod-4 counters: carries and
+                # borrows (only the target rows' counters are read).
+                hi ^= (lo & moved) ^ minus
+                lo ^= moved
+                xs.append((xc ^ targets) & keep | dest if x1 else xc & keep)
+                zs.append((zc ^ targets) & keep | dest if z1 else zc & keep)
+            else:
+                xs.append(xc & keep)
+                zs.append(zc & keep)
+        self._x, self._z = xs, zs
+        zs[q] |= source
+        r_p = (self._r >> p) & 1
+        r = self._r ^ ((hi ^ (targets if r_p else 0)) & targets)
+        self._r = r & keep | (dest if r_p else 0) | (source if outcome else 0)
 
     # -- snapshots ------------------------------------------------------
 
     def snapshot_token(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """The full state as immutable column integers (copy-on-write)."""
-        self._ensure_cols()
         return (tuple(self._x), tuple(self._z), self._r)
 
     def restore_token(self, x_cols, z_cols, r: int) -> None:
         self._x = list(x_cols)
         self._z = list(z_cols)
         self._r = int(r)
-        self._cols_ok = True
-        self._packed = None
 
 
 def tableau_outcome_distribution(
@@ -678,13 +557,6 @@ def tableau_outcome_distribution(
     return distribution
 
 
-def _mask_to_words(mask: int, num_words: int) -> np.ndarray:
-    """One symplectic qubit mask as a little-endian uint64 word row."""
-    return np.frombuffer(
-        mask.to_bytes(num_words * 8, "little"), dtype="<u8"
-    ).astype(np.uint64)
-
-
 def tableau_pauli_expectation(tableau: _Tableau, x_mask: int, z_mask: int) -> float:
     """Exact ``<P>`` of the tableau state for a phase-free Pauli ``P``.
 
@@ -699,41 +571,34 @@ def tableau_pauli_expectation(tableau: _Tableau, x_mask: int, z_mask: int) -> fl
       its symplectic vector lies in the generators' span and ``P ∈ ±S``.
       Destabilizer ``i`` anticommutes with stabilizer ``i`` only, so the
       expansion of ``P`` over the generators is exactly "stabilizer ``i``
-      appears iff destabilizer ``i`` anticommutes with ``P``"; rowsumming
-      those generators into the scratch row (the
-      :meth:`_PackedRows.deterministic_outcome` machinery generalised from
-      ``Z_q`` to arbitrary masks) accumulates the product's sign, giving
-      ``<P> = ±1``.
+      appears iff destabilizer ``i`` anticommutes with ``P``", and the sign
+      of that product of stabilizers (the
+      :meth:`_Tableau.deterministic_outcome` machinery generalised from
+      ``Z_q`` to arbitrary masks) gives ``<P> = ±1``.
 
-    Cost is O(n²/64) words in the worst case and leaves the tableau state
-    unchanged — this is what makes observable assertions free on Clifford
-    breakpoints.
+    The anticommutation mask over rows is the XOR of the ``x`` columns on
+    ``P``'s Z qubits and the ``z`` columns on its X qubits.  Cost is
+    O(n log n) big-int ops on ``2n``-bit integers and leaves the tableau
+    state unchanged — this is what makes observable assertions free on
+    Clifford breakpoints.
     """
     n = tableau.n
     if x_mask >> n or z_mask >> n:
         raise ValueError("Pauli mask bits set beyond the tableau width")
     if x_mask == 0 and z_mask == 0:
         return 1.0
-    packed = tableau._ensure_packed()
-    px = _mask_to_words(x_mask, packed.num_words)
-    pz = _mask_to_words(z_mask, packed.num_words)
-    rows = 2 * n
-    anti = (
-        popcount_u64(packed.x[:rows] & pz).astype(np.int64).sum(axis=-1)
-        + popcount_u64(packed.z[:rows] & px).astype(np.int64).sum(axis=-1)
-    ) & 1
-    if anti[n:].any():
+    anti = 0
+    for q, (xc, zc) in enumerate(zip(tableau._x, tableau._z)):
+        if (z_mask >> q) & 1:
+            anti ^= xc
+        if (x_mask >> q) & 1:
+            anti ^= zc
+    if anti >> n:
         return 0.0
-    scratch = rows
-    packed.x[scratch] = 0
-    packed.z[scratch] = 0
-    packed.r[scratch] = 0
-    for i in np.flatnonzero(anti[:n]):
-        packed.rowsum_into(scratch, int(i) + n)
-    sx, sz = packed.row_masks(scratch)
-    if sx != x_mask or sz != z_mask:  # pragma: no cover - tableau invariant
+    rows = anti << n
+    if tableau.row_masks(rows) != (x_mask, z_mask):  # pragma: no cover - tableau invariant
         raise RuntimeError("Pauli commutes with every stabilizer but is not in the group")
-    return -1.0 if packed.r[scratch] else 1.0
+    return -1.0 if tableau._row_product_sign(rows) else 1.0
 
 
 class StabilizerBackend(SimulationBackend):
@@ -1140,10 +1005,9 @@ class StabilizerBackend(SimulationBackend):
             basis |= outcome << q
         amplitudes = np.zeros(1 << n, dtype=complex)
         amplitudes[basis] = 1.0
-        packed = tableau._ensure_packed()
         for row in range(n, 2 * n):
-            sign = -1.0 if packed.r[row] else 1.0
-            x_mask, z_mask = packed.row_masks(row)
+            sign = -1.0 if (tableau._r >> row) & 1 else 1.0
+            x_mask, z_mask = tableau.row_masks(1 << row)
             amplitudes = 0.5 * (
                 amplitudes + sign * pauli_mask_kernel(amplitudes, x_mask, z_mask)
             )

@@ -184,8 +184,8 @@ class CliffordScenario:
     #: The assertion type expected to catch the bug.
     catching_assertion: str
     ensemble_size: int = 32
-    #: Width used by the packed-tableau width-frontier runs (bench_width):
-    #: far past any dense budget, feasible only on the bit-packed engine.
+    #: Width used by the tableau width-frontier runs (bench_width): far
+    #: past any dense budget, feasible only on the big-int column tableau.
     wide_qubits: int = 128
 
     def build_correct(self, num_qubits: int | None = None) -> Program:

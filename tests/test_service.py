@@ -597,6 +597,48 @@ class TestCancel:
             assert job.attempts == 1  # cancellation is terminal: no retry
             assert [e["kind"] for e in job.failure_chain] == ["cancelled"]
 
+    def test_cancel_between_dequeue_and_first_attempt_stays_cancelled(
+        self, monkeypatch
+    ):
+        """A cancel landing just before the job thread marks the job RUNNING.
+
+        The service lock is wrapped so that the job thread's first entry
+        cancels the (still QUEUED) job first — the window between the
+        thread's start and its first attempt.  The cancel must win: the job
+        stays CANCELLED with no attempt, and nothing rewrites it afterwards.
+        """
+        log = _recording_attempts(monkeypatch)
+        fired = []
+        with service(max_workers=1) as svc:
+            lock = svc._lock
+
+            class CancelOnJobThreadEntry:
+                def __enter__(self):
+                    name = threading.current_thread().name
+                    if not fired and name.startswith("repro-service-job-"):
+                        fired.append(name)
+                        svc.cancel(name[len("repro-service-"):])
+                    return lock.__enter__()
+
+                def __exit__(self, *exc_info):
+                    return lock.__exit__(*exc_info)
+
+            svc._lock = CancelOnJobThreadEntry()
+            job_id = svc.submit(build_bell_program(), CFG)
+            job = svc.wait(job_id, timeout=WAIT)
+            state_at_wait = job.state
+            deadline = time.monotonic() + WAIT
+            while any(
+                thread.name == f"repro-service-{job_id}"
+                for thread in threading.enumerate()
+            ):
+                assert time.monotonic() < deadline, "job thread never exited"
+                time.sleep(0.01)
+        assert fired == [f"repro-service-{job_id}"]
+        assert state_at_wait == job.state == JobState.CANCELLED
+        assert job.terminal and job.attempts == 0 and job.report is None
+        assert log == []  # no worker attempt ran
+
     def test_cancel_unknown_job_raises(self):
         with service() as svc:
             with pytest.raises(KeyError):
