@@ -232,6 +232,8 @@ class _AbstractState:
         self.top: set[int] = set()
         self.touched: set[int] = set()
         self._parent = list(range(self.n))
+        #: A root's component, in merge order; ``None`` at every non-root.
+        self._members: "list[list[int] | None]" = [[i] for i in range(self.n)]
         self.analysis_gates = 0
         if max_support is None:
             self.max_support = SUPPORT_LIMIT
@@ -253,12 +255,18 @@ class _AbstractState:
 
     def _union(self, a: int, b: int) -> None:
         ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self._parent[rb] = ra
+        if ra == rb:
+            return
+        members = self._members
+        if len(members[ra]) < len(members[rb]):
+            ra, rb = rb, ra
+        self._parent[rb] = ra
+        members[ra].extend(members[rb])
+        members[rb] = None
 
-    def _component(self, a: int) -> set[int]:
-        root = self._find(a)
-        return {i for i in range(self.n) if self._find(i) == root}
+    def _component(self, a: int) -> "list[int]":
+        """The qubits sharing ``a``'s component (the root's own list)."""
+        return self._members[self._find(a)]
 
     # -- transfer functions --------------------------------------------
 
@@ -493,6 +501,8 @@ class _AbstractState:
 
     def qubit_state_map(self) -> dict[str, str]:
         states: dict[str, str] = {}
+        # Component root -> how many of its members are not TOP.
+        clean: dict[int, int] = {}
         for register in self.program.registers:
             for qubit in register:
                 qi = self.program.qubit_index(qubit)
@@ -502,10 +512,13 @@ class _AbstractState:
                     tag = "zero"
                 elif not self.tableau.is_random(qi):
                     tag = "classical"
-                elif len(self._component(qi) - self.top) > 1:
-                    tag = "entangled"
                 else:
-                    tag = "superposed"
+                    root = self._find(qi)
+                    if root not in clean:
+                        clean[root] = sum(
+                            m not in self.top for m in self._members[root]
+                        )
+                    tag = "entangled" if clean[root] > 1 else "superposed"
                 states[repr(qubit)] = tag
         return states
 

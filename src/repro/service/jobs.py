@@ -36,7 +36,13 @@ Job lifecycle::
 
     QUEUED ──▶ RUNNING ──▶ DONE | TIMEOUT | FAILED | CANCELLED
        ├────────────────▶ CACHED | STATIC     (answered at submission)
-       └────────────────▶ CANCELLED           (withdrawn before dispatch)
+       └────────────────▶ CANCELLED           (withdrawn while queued)
+
+Each service runs ``max_workers`` long-lived slot threads.  A slot blocks
+in the priority queue's ``get`` and runs the job it pops to a terminal
+state before it takes the next, so the queue's order is the order in which
+free slots start jobs.  Waiters block on one condition over the service
+lock, notified whenever a job ends.
 """
 
 from __future__ import annotations
@@ -125,8 +131,8 @@ class Job:
     #: The finished report's JSON; ``None`` while in flight and for a job
     #: that ended without a report.
     _report_json: "str | None" = None
-    _done: threading.Event = field(default_factory=threading.Event)
-    _cancel: threading.Event = field(default_factory=threading.Event)
+    #: Set by :meth:`LocalService.cancel` under the service lock.
+    _cancelled: bool = False
 
     @property
     def terminal(self) -> bool:
@@ -169,9 +175,10 @@ class LocalService:
         Base :class:`~repro.core.config.RunConfig` merged under every
         submission that does not bring its own config.
     max_workers:
-        Concurrent worker subprocesses.  ``0`` models a fully-down pool:
-        nothing is dispatched, but cached and static-decidable submissions
-        still complete (the degradation ladder's whole point).
+        Slot threads, each running one job at a time on a worker
+        subprocess.  ``0`` models a fully-down pool: nothing leaves the
+        queue, but cached and static-decidable submissions still complete
+        (the degradation ladder's whole point).
     root_seed:
         Entropy for per-job seed derivation (``None`` = OS entropy).  Jobs
         submitted with an explicit ``config.seed`` keep it.
@@ -189,7 +196,6 @@ class LocalService:
         root_seed: "int | None" = None,
         fault_spec: "str | None" = None,
         cache_entries: int = 256,
-        poll_interval: float = 0.05,
     ):
         self.defaults = RunConfig.coerce(defaults, caller="LocalService")
         if max_workers < 0:
@@ -214,23 +220,20 @@ class LocalService:
         self._parsed: "OrderedDict[str, Program]" = OrderedDict()
         self._parsed_chars = 0
         self._lock = threading.RLock()
+        #: Notified whenever a job turns terminal.
+        self._finished = threading.Condition(self._lock)
         self._counter = itertools.count()
         self._closed = False
-        self._poll_interval = float(poll_interval)
         self._pool = WorkerPool()
-        self._active_threads: "set[threading.Thread]" = set()
-        #: Jobs answered without a worker, by rung (observability).
-        self.inline_answers = {"cached": 0, "static": 0}
-        if self.max_workers > 0:
-            self._slots = threading.Semaphore(self.max_workers)
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop, name="repro-service-dispatch",
+        self._slots = [
+            threading.Thread(
+                target=self._slot_loop, name=f"repro-service-slot-{slot}",
                 daemon=True,
             )
-            self._dispatcher.start()
-        else:
-            self._slots = None
-            self._dispatcher = None
+            for slot in range(self.max_workers)
+        ]
+        for thread in self._slots:
+            thread.start()
 
     # -- submission ------------------------------------------------------
 
@@ -286,14 +289,10 @@ class LocalService:
         # answering when every worker is busy or dead.
         cached = self.result_cache.get(job.cache_key)
         if cached is not None:
-            with self._lock:
-                self.inline_answers["cached"] += 1
             self._finish(job, JobState.CACHED, cached)
             return job.id
         static = self._try_static(program, config)
         if static is not None:
-            with self._lock:
-                self.inline_answers["static"] += 1
             self._finish(job, JobState.STATIC, static.to_json())
             return job.id
         job._program_bytes = pickle.dumps(program)
@@ -366,34 +365,15 @@ class LocalService:
             # simply proceeds to a worker.
             return None
 
-    # -- dispatch / execution -------------------------------------------
+    # -- execution -------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
+    def _slot_loop(self) -> None:
+        """One slot thread: run queued jobs, one at a time, until close."""
         while True:
-            job = self.queue.get(timeout=self._poll_interval)
-            if job is None:
-                if self._closed:
-                    return
-                continue
-            if job._cancel.is_set():
-                # Cancelled while queued: already parked in CANCELLED, skip.
-                # A cancel that beat the pickle in ``submit`` left its bytes.
-                job._program_bytes = b""
-                continue
-            while not self._slots.acquire(timeout=self._poll_interval):
-                if self._closed:
-                    # Shutting down with a job in hand: leave it QUEUED.
-                    return
-            if job._cancel.is_set():
-                self._slots.release()
-                continue
-            thread = threading.Thread(
-                target=self._run_job, args=(job,),
-                name=f"repro-service-{job.id}", daemon=True,
-            )
-            with self._lock:
-                self._active_threads.add(thread)
-            thread.start()
+            job = self.queue.get()
+            if job is None:  # the queue was closed
+                return
+            self._run_job(job)
 
     def _run_job(self, job: Job) -> None:
         try:
@@ -406,7 +386,9 @@ class LocalService:
                 # One lock hold for the check and the state change: a cancel
                 # that finishes a still-QUEUED job must not be overwritten.
                 with self._lock:
-                    if job._cancel.is_set() or job._done.is_set():
+                    if job._cancelled:
+                        # Cancelled while queued (already CANCELLED) or
+                        # during a retry's backoff.
                         self._finish(job, JobState.CANCELLED, None)
                         return
                     attempt = job.attempts
@@ -421,7 +403,7 @@ class LocalService:
                         "fault_spec": self.fault_injector.spell(),
                     },
                     timeout=job.config.job_timeout,
-                    cancel_event=job._cancel,
+                    is_cancelled=lambda: job._cancelled,
                     pool=self._pool,
                 )
                 if outcome.status == "cancelled":
@@ -487,24 +469,21 @@ class LocalService:
                 }
             )
             self._finish(job, JobState.FAILED, None)
-        finally:
-            if self._slots is not None:
-                self._slots.release()
-            with self._lock:
-                self._active_threads.discard(threading.current_thread())
 
     def _finish(self, job: Job, state: str, report_json: "str | None") -> None:
-        with self._lock:
-            if job._done.is_set():
+        with self._finished:
+            # Dropped even from a job that is already terminal: a cancel
+            # that beat the pickle in ``submit`` left its bytes.
+            job._program_bytes = b""
+            if job.terminal:
                 # Already terminal (e.g. cancelled while the worker raced to
                 # its own answer): first writer wins, never overwrite.
                 return
             job.state = state
             job._report_json = report_json
             job.finished_at = time.time()
-            job._program_bytes = b""
             job._config_json = ""
-            job._done.set()
+            self._finished.notify_all()
 
     # -- client surface --------------------------------------------------
 
@@ -540,14 +519,12 @@ class LocalService:
         """
         job = self.job(job_id)
         with self._lock:
-            if job.terminal:
-                return job
-            job._cancel.set()
-            queued = job.state == JobState.QUEUED
-        if queued:
-            # The dispatcher skips cancelled jobs when it pops them; park
-            # the job terminal right away so clients unblock immediately.
-            self._finish(job, JobState.CANCELLED, None)
+            if not job.terminal:
+                job._cancelled = True
+                if job.state == JobState.QUEUED:
+                    # The slot that pops it skips it; park the job terminal
+                    # right away so clients unblock immediately.
+                    self._finish(job, JobState.CANCELLED, None)
         return job
 
     def wait(self, job_id: str, timeout: "float | None" = None) -> Job:
@@ -558,7 +535,9 @@ class LocalService:
         ``state == "TIMEOUT"``.
         """
         job = self.job(job_id)
-        if not job._done.wait(timeout):
+        with self._finished:
+            ended = self._finished.wait_for(lambda: job.terminal, timeout)
+        if not ended:
             raise TimeoutError(
                 f"job {job_id} not terminal after {timeout}s (state {job.state})"
             )
@@ -592,7 +571,10 @@ class LocalService:
                 "states": states,
                 "queue_depth": len(self.queue),
                 "max_workers": self.max_workers,
-                "inline_answers": dict(self.inline_answers),
+                "inline_answers": {
+                    "cached": states.get(JobState.CACHED, 0),
+                    "static": states.get(JobState.STATIC, 0),
+                },
                 "cache": self.result_cache.stats(),
                 "faults": self.fault_injector.spell(),
             }
@@ -600,23 +582,21 @@ class LocalService:
     # -- lifecycle -------------------------------------------------------
 
     def close(self, wait: bool = True, timeout: "float | None" = 30.0) -> None:
-        """Stop accepting and dispatching; optionally join running jobs.
+        """Stop accepting and starting jobs; optionally join the slots.
 
         Jobs still queued stay ``QUEUED`` (they were never started and are
-        fully described by their payloads); jobs mid-attempt run to their
-        next terminal state when ``wait=True``.  Idle workers are retired
-        here, and a worker still running an attempt when its attempt ends.
+        fully described by their payloads); a job mid-attempt runs to its
+        next terminal state, and ``wait=True`` joins the slot threads after
+        it.  Idle workers are retired here, and a worker still running an
+        attempt when its attempt ends.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            threads = list(self._active_threads)
         self.queue.close()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout)
         if wait:
-            for thread in threads:
+            for thread in self._slots:
                 thread.join(timeout)
         self._pool.close()
 

@@ -7,10 +7,11 @@ schedule identically — determinism of *results* is carried by per-job seeds,
 but deterministic scheduling keeps latency tests and the chaos harness
 reproducible too.
 
-The queue is deliberately minimal: ``put``/``get(timeout)``/``drain``/
-``close``.  Retry scheduling lives in the worker layer (a retried job is a
-fresh attempt inside its job thread, never re-queued), so the queue never
-needs to reorder in-flight work.
+The queue is deliberately minimal: ``put``/``get(timeout)``/``close``.
+The service's slot threads block in ``get``; ``close`` wakes them all.
+Retry scheduling lives in the worker layer (a retried job is a fresh
+attempt on the slot thread that popped it, never re-queued), so the queue
+never needs to reorder in-flight work.
 """
 
 from __future__ import annotations
@@ -47,23 +48,16 @@ class PriorityJobQueue:
     def get(self, timeout: "float | None" = None):
         """Pop the highest-priority item, blocking up to ``timeout`` seconds.
 
-        Returns ``None`` on timeout or when the queue is closed and empty —
-        the dispatcher loop treats both as "nothing to do right now".
+        Returns ``None`` on timeout or once the queue is closed: a closed
+        queue hands out nothing, so the items still in it stay queued.
         """
         with self._not_empty:
-            while not self._heap:
-                if self._closed:
-                    return None
+            while not self._closed:
+                if self._heap:
+                    return heapq.heappop(self._heap)[2]
                 if not self._not_empty.wait(timeout):
                     return None
-            return heapq.heappop(self._heap)[2]
-
-    def drain(self) -> list:
-        """Remove and return every queued item in scheduling order."""
-        with self._lock:
-            items = [entry[2] for entry in sorted(self._heap)]
-            self._heap.clear()
-            return items
+            return None
 
     def close(self) -> None:
         """Refuse new puts and wake every blocked getter."""

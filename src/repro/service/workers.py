@@ -105,7 +105,7 @@ class AttemptOutcome:
 
     ``status`` is one of ``"ok"`` (``report_json`` holds the result),
     ``"timeout"`` (deadline expired, worker SIGKILLed), ``"cancelled"``
-    (the parent's cancel event fired mid-attempt, worker SIGKILLed),
+    (the parent cancelled the job mid-attempt, worker SIGKILLed),
     ``"crash"`` (worker died without reporting — SIGKILL/OOM/segfault;
     ``exitcode`` says how), or ``"error"`` (worker caught and reported a
     Python exception — deterministic, so the service fails fast instead of
@@ -253,7 +253,7 @@ class WorkerPool:
         self,
         payload: dict,
         timeout: "float | None" = None,
-        cancel_event=None,
+        is_cancelled=None,
     ) -> AttemptOutcome:
         """Run one attempt on a worker and classify the outcome.
 
@@ -266,8 +266,7 @@ class WorkerPool:
         start = time.monotonic()
         deadline = None if timeout is None else start + timeout
         message = None
-        timed_out = False
-        cancelled = False
+        timed_out = cancelled = False
         try:
             conn.send(payload)
         except OSError:
@@ -280,32 +279,13 @@ class WorkerPool:
                         break
                 except (EOFError, OSError):
                     break  # pipe closed without a message: a crash
-                if cancel_event is not None and cancel_event.is_set():
-                    # Like the deadline race below: take an answer that
-                    # landed exactly at cancellation rather than drop it.
-                    try:
-                        if conn.poll(0):
-                            message = conn.recv()
-                            break
-                    except (EOFError, OSError):
-                        break
-                    cancelled = True
-                    break
-                if deadline is not None and time.monotonic() >= deadline:
-                    # One last zero-timeout poll closes the race where the
-                    # worker answered exactly at the deadline.
-                    try:
-                        if conn.poll(0):
-                            message = conn.recv()
-                            break
-                    except (EOFError, OSError):
-                        break
-                    timed_out = True
-                    break
-                if not proc.is_alive():
-                    # Dead worker; drain any message it sent first.  This
-                    # poll is also the backstop for an EOF that a pipe end
-                    # inherited by another process would hide.
+                cancelled = is_cancelled is not None and is_cancelled()
+                timed_out = deadline is not None and time.monotonic() >= deadline
+                if cancelled or timed_out or not proc.is_alive():
+                    # One last zero-timeout poll takes an answer that landed
+                    # exactly at the cancel, the deadline or the worker's
+                    # exit.  It is also the backstop for an EOF that a pipe
+                    # end inherited by another process would hide.
                     try:
                         if conn.poll(0):
                             message = conn.recv()
@@ -319,6 +299,10 @@ class WorkerPool:
                 status="ok", report_json=message[1], duration=duration
             )
         worker.retire()
+        if message is not None:
+            return AttemptOutcome(
+                status="error", detail=message[1], duration=duration
+            )
         if cancelled:
             return AttemptOutcome(
                 status="cancelled",
@@ -332,10 +316,6 @@ class WorkerPool:
                 detail=f"killed after exceeding job_timeout={timeout:g}s",
                 exitcode=proc.exitcode,
                 duration=duration,
-            )
-        if message is not None:
-            return AttemptOutcome(
-                status="error", detail=message[1], duration=duration
             )
         return AttemptOutcome(
             status="crash",
@@ -357,7 +337,7 @@ def run_attempt(
     payload: dict,
     timeout: "float | None" = None,
     ctx: "multiprocessing.context.BaseContext | None" = None,
-    cancel_event=None,
+    is_cancelled=None,
     *,
     pool: "WorkerPool | None" = None,
 ) -> AttemptOutcome:
@@ -368,17 +348,18 @@ def run_attempt(
     coordinates) and optionally ``fault_spec``.  On deadline expiry the
     worker is SIGKILLed and the outcome is ``"timeout"`` — the guarantee the
     acceptance criterion words as "within ``job_timeout`` + grace".
-    ``cancel_event`` (a :class:`threading.Event`) lets the parent withdraw
-    the attempt mid-flight: the worker is SIGKILLed and the outcome is
-    ``"cancelled"``, observed within one ``_POLL_SECONDS`` quantum.
+    ``is_cancelled`` (a no-argument predicate, polled between receives)
+    lets the parent withdraw the attempt mid-flight: once it returns true
+    the worker is SIGKILLed and the outcome is ``"cancelled"``, observed
+    within one ``_POLL_SECONDS`` quantum.
 
     The attempt runs on a worker of ``pool``; without one it runs on a
     single-use pool under ``ctx``, whose worker is retired afterwards.
     """
     if pool is not None:
-        return pool.run(payload, timeout, cancel_event)
+        return pool.run(payload, timeout, is_cancelled)
     pool = WorkerPool(ctx)
     try:
-        return pool.run(payload, timeout, cancel_event)
+        return pool.run(payload, timeout, is_cancelled)
     finally:
         pool.close()

@@ -69,13 +69,12 @@ class TestPriorityJobQueue:
         with pytest.raises(QueueClosed):
             queue.put("x")
 
-    def test_drain_returns_scheduling_order(self):
+    def test_closed_queue_keeps_its_items(self):
         queue = PriorityJobQueue()
-        queue.put("b", priority=1)
-        queue.put("a", priority=3)
-        queue.put("c", priority=1)
-        assert queue.drain() == ["a", "b", "c"]
-        assert len(queue) == 0
+        queue.put("left")
+        queue.close()
+        assert queue.get(0.1) is None
+        assert len(queue) == 1
 
     def test_len(self):
         queue = PriorityJobQueue()
@@ -600,41 +599,41 @@ class TestCancel:
     def test_cancel_between_dequeue_and_first_attempt_stays_cancelled(
         self, monkeypatch
     ):
-        """A cancel landing just before the job thread marks the job RUNNING.
+        """A cancel landing just before the slot thread marks the job RUNNING.
 
-        The service lock is wrapped so that the job thread's first entry
-        cancels the (still QUEUED) job first — the window between the
-        thread's start and its first attempt.  The cancel must win: the job
-        stays CANCELLED with no attempt, and nothing rewrites it afterwards.
+        The service lock is wrapped so that the slot thread's first entry
+        cancels the (still QUEUED) job it popped first — the window between
+        the pop and the first attempt.  The cancel must win: the job stays
+        CANCELLED with no attempt, and nothing rewrites it afterwards.
         """
         log = _recording_attempts(monkeypatch)
         fired = []
         with service(max_workers=1) as svc:
             lock = svc._lock
 
-            class CancelOnJobThreadEntry:
+            class CancelOnSlotThreadEntry:
                 def __enter__(self):
                     name = threading.current_thread().name
-                    if not fired and name.startswith("repro-service-job-"):
+                    if not fired and name.startswith("repro-service-slot-"):
                         fired.append(name)
-                        svc.cancel(name[len("repro-service-"):])
+                        (popped,) = svc.jobs()
+                        svc.cancel(popped.id)
                     return lock.__enter__()
 
                 def __exit__(self, *exc_info):
                     return lock.__exit__(*exc_info)
 
-            svc._lock = CancelOnJobThreadEntry()
+            svc._lock = CancelOnSlotThreadEntry()
             job_id = svc.submit(build_bell_program(), CFG)
             job = svc.wait(job_id, timeout=WAIT)
             state_at_wait = job.state
-            deadline = time.monotonic() + WAIT
-            while any(
-                thread.name == f"repro-service-{job_id}"
-                for thread in threading.enumerate()
-            ):
-                assert time.monotonic() < deadline, "job thread never exited"
-                time.sleep(0.01)
-        assert fired == [f"repro-service-{job_id}"]
+        # Leaving the block closed the service, which joins the slot thread
+        # once it is done with the job.
+        deadline = time.monotonic() + WAIT
+        while any(thread.is_alive() for thread in svc._slots):
+            assert time.monotonic() < deadline, "job thread never exited"
+            time.sleep(0.01)
+        assert fired == ["repro-service-slot-0"]
         assert state_at_wait == job.state == JobState.CANCELLED
         assert job.terminal and job.attempts == 0 and job.report is None
         assert log == []  # no worker attempt ran
@@ -666,6 +665,89 @@ class TestCancel:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
             assert excinfo.value.code == 404
+
+
+# ---------------------------------------------------------------------------
+# Slot threads: one per worker slot, none per job
+# ---------------------------------------------------------------------------
+
+
+def _wait_until_running(svc, job_id):
+    deadline = time.monotonic() + WAIT
+    while svc.job(job_id).state != JobState.RUNNING:
+        assert time.monotonic() < deadline, "job never started running"
+        time.sleep(0.01)
+
+
+class TestSlotThreads:
+    def test_priority_job_sent_later_runs_before_a_waiting_one(self):
+        with service(max_workers=1, fault_spec="slow@0:0.5") as svc:
+            first = svc.submit(build_bell_program(), CFG)
+            _wait_until_running(svc, first)
+            low = svc.submit(build_bell_program(), CFG.replace(seed=SEED + 1))
+            time.sleep(0.1)
+            high = svc.submit(
+                build_bell_program(), CFG.replace(seed=SEED + 2), priority=5
+            )
+            jobs = svc.wait_all([first, low, high], timeout=WAIT)
+        assert [job.state for job in jobs] == [JobState.DONE] * 3
+        _, low_job, high_job = jobs
+        assert high_job.finished_at < low_job.finished_at
+
+    def test_many_waiters_on_one_job_all_return(self):
+        with service(max_workers=1, fault_spec="slow@0:0.3") as svc:
+            job_id = svc.submit(build_bell_program(), CFG)
+            returned = []
+            waiters = [
+                threading.Thread(
+                    target=lambda: returned.append(svc.wait(job_id, timeout=WAIT))
+                )
+                for _ in range(8)
+            ]
+            for thread in waiters:
+                thread.start()
+            for thread in waiters:
+                thread.join(WAIT)
+        assert not any(thread.is_alive() for thread in waiters)
+        assert len(returned) == 8
+        assert all(job is svc.job(job_id) for job in returned)
+        assert returned[0].state == JobState.DONE
+
+    def test_one_thread_per_slot_and_none_left_after_close(self):
+        before = set(threading.enumerate())
+        svc = service(max_workers=3, fault_spec="slow@0:0.3")
+        ids = [
+            svc.submit(build_bell_program(), CFG.replace(seed=SEED + offset))
+            for offset in range(6)
+        ]
+        _wait_until_running(svc, ids[0])
+        started = set(threading.enumerate()) - before
+        assert started == set(svc._slots)
+        assert sorted(thread.name for thread in started) == [
+            f"repro-service-slot-{slot}" for slot in range(3)
+        ]
+        svc.wait_all(ids, timeout=WAIT)
+        assert set(threading.enumerate()) - before == started
+        svc.close()
+        assert not any(thread.is_alive() for thread in started)
+        assert not any(
+            thread.name.startswith("repro-service-slot-")
+            for thread in set(threading.enumerate()) - before
+        )
+
+    def test_finished_jobs_hold_no_threading_object(self):
+        with service() as svc:
+            done = svc.wait(svc.submit(build_bell_program(), CFG), timeout=WAIT)
+            cached = svc.job(svc.submit(build_bell_program(), CFG))
+            static = svc.job(
+                svc.submit(build_ghz_program(3), CFG.replace(static_preflight=True))
+            )
+        assert (done.state, cached.state, static.state) == (
+            JobState.DONE, JobState.CACHED, JobState.STATIC
+        )
+        for job in (done, cached, static):
+            modules = {type(value).__module__ for value in vars(job).values()}
+            assert not modules & {"threading", "_thread"}, modules
 
 
 # ---------------------------------------------------------------------------
