@@ -6,11 +6,12 @@ step on the pluggable simulation backends with one walk over the
 :class:`~repro.compiler.splitter.ExecutionPlan`.  Every breakpoint goes
 through the same two steps:
 
-1. **advance or restore** — run the segment's delta instructions on the
-   engine, or, on a run served from the plan cache's recorded snapshots,
-   restore the breakpoint's token at zero gate cost;
+1. **advance** — run the segment's delta instructions on the engine; a run
+   served from the plan cache's recorded snapshots skips this step;
 2. **measure** — draw the breakpoint's ensemble (or its per-setting
-   observable ensembles) and package it for the statistical tests.
+   observable ensembles) and package it for the statistical tests.  A
+   served run draws from the breakpoint's recorded outcome CDF, or restores
+   its token where none was recorded.
 
 The two execution modes differ only in how often the walk runs:
 
@@ -65,6 +66,7 @@ from ..lang.instructions import (
 from ..lang.program import Program, run_instructions
 from ..observables.grouping import MeasurementSetting, group_terms
 from ..sim import gates as _gates
+from ..sim import kernels as _kernels
 from ..sim.backend import SimulationBackend
 from ..sim.measurement import MeasurementEnsemble, ReadoutErrorModel
 from ..sim.memory import dense_qubit_budget
@@ -201,9 +203,9 @@ class BreakpointExecutor:
         Cache-stamped plans (built via :meth:`plan_for`) whose walk is
         noiseless and rng-free additionally share breakpoint snapshots
         across runs: the first run on a backend family records one snapshot
-        token per breakpoint, and later runs restore those tokens instead of
-        running the deltas — the same rng draws, states and verdicts with
-        zero gate applications.
+        token and one outcome CDF per breakpoint, and later runs draw from
+        those instead of running the deltas (see :meth:`_serve`) — the same
+        rng draws and verdicts with zero gate applications.
 
         ``skip_indices`` names breakpoints the caller has already decided
         (the checker's static pre-flight): their segments are still walked
@@ -223,34 +225,56 @@ class BreakpointExecutor:
         if backend_key is not None:
             served = self.plan_cache.snapshots_for(plan, backend_key)
         if served is not None:
-            engine = served.engine
-        else:
-            engine = self._engine_for(plan, plan.is_clifford)
-            if backend_key is not None:
-                recorder = SnapshotSet(backend_name=backend_key, engine=engine)
+            self.shared_prefix_gates_saved += served.walk_gates
+            return [self._serve(plan, segment, served) for segment in plan.segments]
+        engine = self._engine_for(plan, plan.is_clifford)
+        if backend_key is not None:
+            recorder = SnapshotSet(backend_name=backend_key, engine=engine)
         walked = (self.gates_applied, self.statevector_gates_applied)
         results: list[BreakpointMeasurements] = []
         for segment in plan.segments:
-            token = self._advance(plan, engine, (segment,), served)
+            self._advance(plan, engine, (segment,))
             if segment.index in skip_indices:
                 continue
-            bracket = token is None and not _is_observable(segment)
-            if bracket:
-                # Snapshot/restore brackets the readout so the walk stays
-                # intact even on backends whose sampling is destructive.
-                token = engine.snapshot()
-            results.append(self._measure(plan, segment, (engine,)))
-            if bracket:
-                engine.restore(token)
+            if _is_observable(segment):
+                results.append(self._measure(plan, segment, (engine,)))
+                continue
+            # Snapshot/restore brackets the readout so the walk stays
+            # intact even on backends whose sampling is destructive.
+            token = engine.snapshot()
             if recorder is not None:
+                cdf = engine.marginal_cdf(_operand_indices(plan, segment))
+                if cdf is not None:
+                    cdf.flags.writeable = False
                 recorder.tokens.append(token)
-        if served is not None:
-            self.shared_prefix_gates_saved += served.walk_gates
+                recorder.cdfs.append(cdf)
+            results.append(self._measure(plan, segment, (engine,)))
+            engine.restore(token)
         if recorder is not None:
             recorder.walk_gates = self.gates_applied - walked[0]
             recorder.walk_statevector_gates = self.statevector_gates_applied - walked[1]
             self.plan_cache.record_snapshots(plan, recorder)
         return results
+
+    def _serve(
+        self, plan: ExecutionPlan, segment: PlanSegment, served: SnapshotSet
+    ) -> BreakpointMeasurements:
+        """Measure one breakpoint of a run served from recorded snapshots.
+
+        With a recorded CDF and no readout channel to install natively the
+        ensemble is drawn straight from the CDF: the shared engine is never
+        touched.  Otherwise the breakpoint's token is restored into the
+        shared engine and read as in a cold walk, under the set's lock so
+        concurrent served runs never read each other's state.
+        """
+        cdf = served.cdfs[segment.index]
+        if cdf is not None and not self._native_readout(served.engine):
+            indices = _operand_indices(plan, segment)
+            samples = _kernels.draw_from_cdf(cdf, self.rng, self.ensemble_size)
+            return self._package(segment, indices, samples)
+        with served.lock:
+            served.engine.restore(served.tokens[segment.index])
+            return self._measure(plan, segment, (served.engine,))
 
     def _snapshot_backend_key(self, plan: ExecutionPlan) -> str | None:
         """Resolved backend-family name under which this run's breakpoint
@@ -281,24 +305,13 @@ class BreakpointExecutor:
         plan: ExecutionPlan,
         engine: SimulationBackend,
         segments: Sequence[PlanSegment],
-        served: SnapshotSet | None = None,
-    ) -> object | None:
-        """Bring ``engine`` to the breakpoint state that ends ``segments``.
-
-        A snapshot-served run restores the breakpoint's recorded token and
-        returns it; otherwise the segments' deltas run on the engine and the
-        gate counters grow by the engine's instrumented count.
-        """
-        if served is not None:
-            token = served.tokens[segments[-1].index]
-            engine.restore(token)
-            return token
+    ) -> None:
+        """Run ``segments``' deltas on ``engine`` and count their gates."""
         gates, dense = engine.gates_applied, engine.statevector_gates_applied
         for segment in segments:
             run_instructions(plan.program, segment.instructions, engine, rng=self.rng)
         self.gates_applied += engine.gates_applied - gates
         self.statevector_gates_applied += engine.statevector_gates_applied - dense
-        return None
 
     def _rerun_engines(
         self, plan: ExecutionPlan, segment: PlanSegment
@@ -337,7 +350,7 @@ class BreakpointExecutor:
         statevector semantics.
         """
         program = plan.program
-        indices = [program.qubit_index(q) for q in segment.assertion.qubits()]
+        indices = _operand_indices(plan, segment)
         if self.mode == "rerun" and not _is_observable(segment):
             native = False
             samples: list[int] = []
@@ -623,11 +636,15 @@ class BreakpointExecutor:
         a caller-owned instance must not keep this executor's noise after
         the run.
         """
-        if engine.supports_readout_noise and not self.readout_error.is_ideal:
+        if self._native_readout(engine):
             displaced = getattr(engine, "readout_error", None)
             engine.set_readout_error(self.readout_error)
             return True, displaced
         return False, None
+
+    def _native_readout(self, engine: SimulationBackend) -> bool:
+        """True when ``engine`` takes this executor's readout channel natively."""
+        return engine.supports_readout_noise and not self.readout_error.is_ideal
 
     # ------------------------------------------------------------------
 
@@ -650,3 +667,8 @@ class BreakpointExecutor:
 
 def _is_observable(segment: PlanSegment) -> bool:
     return isinstance(segment.assertion, AssertObservableInstruction)
+
+
+def _operand_indices(plan: ExecutionPlan, segment: PlanSegment) -> list[int]:
+    """Register indices of every qubit the segment's assertion reads."""
+    return [plan.program.qubit_index(q) for q in segment.assertion.qubits()]

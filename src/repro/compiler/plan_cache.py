@@ -15,9 +15,10 @@ This module removes that redundancy at two levels:
 * **Prefix-snapshot reuse.**  For runs whose plan walk is noiseless and
   rng-free (no gate-noise channels, no mid-circuit resets of superposed
   qubits), the breakpoint states depend only on (program, backend family).
-  The first walk records one snapshot token per breakpoint
-  (:class:`SnapshotSet`); later runs restore each token and draw their
-  ensembles directly, skipping the gate work entirely.  Because the recorded
+  The first walk records one snapshot token and one outcome CDF per
+  breakpoint (:class:`SnapshotSet`); later runs draw their ensembles from
+  the recorded CDFs (or, where a backend's draw is not one marginal, restore
+  the token), skipping the gate work entirely.  Because the recorded
   walk consumes no rng draws, a snapshot-served run is verdict- and
   stream-identical to a cold one — reuse is a pure work optimisation, never a
   statistics change.
@@ -215,17 +216,24 @@ class SnapshotSet:
 
     Holds the (cache-owned) backend instance left at the end of the walk,
     one snapshot token per plan segment, and the gate work the walk cost —
-    which is exactly the work every snapshot-served run saves.
+    which is exactly the work every snapshot-served run saves.  Beside each
+    token sits the read-only outcome CDF of the breakpoint's assertion
+    qubits (``None`` where the engine's draw is not one marginal): served
+    runs draw from it without touching ``engine``.  Runs that must still
+    restore a token into the shared engine hold ``lock`` from the restore
+    to the end of their readout.
     """
 
     backend_name: str
     engine: SimulationBackend
     tokens: list = field(default_factory=list)
+    cdfs: "list[np.ndarray | None]" = field(default_factory=list)
     #: Gate applications the recorded walk performed (total / dense subset).
     walk_gates: int = 0
     walk_statevector_gates: int = 0
     #: Times this set served a run without re-walking.
     hits: int = 0
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
 @dataclass

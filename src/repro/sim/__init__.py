@@ -40,14 +40,6 @@ from .pauli_frame import PauliFrameSet
 from .stabilizer_backend import HybridCliffordBackend, StabilizerBackend
 from .statevector import Statevector
 from .trajectory_backend import TrajectoryNoiseBackend, spawn_trajectory_streams
-from .unitary import (
-    adder_permutation,
-    dft_matrix,
-    embed_matrix,
-    modular_multiplication_permutation,
-    permutation_matrix,
-    unitary_from_applications,
-)
 
 __all__ = [
     "gates",
@@ -91,10 +83,4 @@ __all__ = [
     "entanglement_entropy",
     "schmidt_coefficients",
     "is_product_state",
-    "embed_matrix",
-    "unitary_from_applications",
-    "dft_matrix",
-    "permutation_matrix",
-    "adder_permutation",
-    "modular_multiplication_permutation",
 ]

@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import kernels as _kernels
 from .gates import gate_matrix
 from .statevector import Statevector
 
@@ -188,6 +189,17 @@ class SimulationBackend(abc.ABC):
     ) -> int:
         """Projectively measure ``qubits``, collapsing the state."""
 
+    def marginal_cdf(self, qubits: Sequence[int]) -> "np.ndarray | None":
+        """The outcome CDF :meth:`sample` draws ``qubits`` from, or ``None``.
+
+        Where not ``None``, ``sample(qubits, shots, rng)`` returns exactly
+        ``kernels.draw_from_cdf(marginal_cdf(qubits), rng, shots)`` while the
+        state and readout model stay as they are, so the plan cache can
+        record it once per breakpoint.  ``None`` (the default) marks a draw
+        that is not one marginal, such as per-member trajectory readout.
+        """
+        return None
+
     # -- conversion -----------------------------------------------------
 
     def to_statevector(self, copy: bool = True) -> Statevector:
@@ -272,6 +284,9 @@ class StatevectorBackend(SimulationBackend):
         rng: np.random.Generator | int | None = None,
     ) -> np.ndarray:
         return self._require_state().sample(qubits, shots=shots, rng=rng)
+
+    def marginal_cdf(self, qubits: Sequence[int]) -> np.ndarray:
+        return _kernels.outcome_cdf(self.probabilities(qubits))
 
     def measure(
         self,

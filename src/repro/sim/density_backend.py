@@ -289,6 +289,9 @@ class DensityMatrixBackend(SimulationBackend):
             self.readout_probabilities(qubits), _as_rng(rng), shots
         )
 
+    def marginal_cdf(self, qubits: Sequence[int]) -> np.ndarray:
+        return _kernels.outcome_cdf(self.readout_probabilities(qubits))
+
     def measure(
         self,
         qubits: Sequence[int],

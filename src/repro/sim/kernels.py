@@ -32,8 +32,13 @@ basis state ``|i>`` with bit ``j`` of ``i`` holding the value of qubit ``j``
 
 The module also holds the other decisions every dense backend shares: the
 operand checks (:func:`validated_qubits`, :func:`validated_matrix`), the
-outcome draw (:func:`draw_outcomes`) and the collapse onto a measured
-outcome (:func:`outcome_mask`, :func:`project`).
+outcome draw and the collapse onto a measured outcome (:func:`outcome_mask`,
+:func:`project`).  The draw is two steps: :func:`outcome_cdf` normalises a
+distribution into its cumulative form, and :func:`draw_from_cdf` maps
+uniforms onto it, consuming the same uniforms and returning the same
+indices as ``Generator.choice(p=...)``.  :func:`draw_outcomes` runs both in
+a row for a live state; the plan cache records one CDF per breakpoint, so
+a snapshot-served run calls only the second step.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ __all__ = [
     "apply_pauli_batched",
     "validated_qubits",
     "validated_matrix",
+    "outcome_cdf",
+    "draw_from_cdf",
     "draw_outcomes",
     "outcome_mask",
     "project",
@@ -327,18 +334,44 @@ def validated_matrix(matrix: np.ndarray, num_targets: int) -> np.ndarray:
     return matrix
 
 
+def outcome_cdf(probs: np.ndarray) -> np.ndarray:
+    """Normalised cumulative distribution of ``probs``, for :func:`draw_from_cdf`.
+
+    Normalises and accumulates exactly as ``Generator.choice(p=...)`` does,
+    and rejects what it rejects: non-finite, negative or zero-sum input.
+    """
+    p = probs / probs.sum()
+    if not p.size or not np.isfinite(p).all():
+        raise ValueError("probabilities contain NaN or sum to zero")
+    if (p < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_from_cdf(
+    cdf: np.ndarray, rng: np.random.Generator, shots: int | None = None
+) -> "int | np.ndarray":
+    """One outcome (an ``int``), or ``shots`` of them, drawn from ``cdf``.
+
+    The same uniforms and indices as ``rng.choice(len(cdf), size=shots,
+    p=...)``, so a CDF recorded once can serve any number of seeded draws.
+    """
+    outcomes = cdf.searchsorted(rng.random(shots), side="right")
+    return int(outcomes) if shots is None else outcomes
+
+
 def draw_outcomes(
     probs: np.ndarray, rng: np.random.Generator, shots: int | None = None
 ) -> "int | np.ndarray":
     """Normalise ``probs`` and draw one outcome, or ``shots`` of them.
 
-    Every backend's readout draws through this one ``rng.choice`` call
-    shape, which keeps seeded streams aligned across backends.
+    Every backend's readout draws through this one call shape
+    (:func:`outcome_cdf` then :func:`draw_from_cdf`), which keeps seeded
+    streams aligned across backends.
     """
-    probs = probs / probs.sum()
-    if shots is None:
-        return int(rng.choice(len(probs), p=probs))
-    return rng.choice(len(probs), size=shots, p=probs)
+    return draw_from_cdf(outcome_cdf(probs), rng, shots)
 
 
 def outcome_mask(num_qubits: int, qubits: Sequence[int], value: int) -> np.ndarray:

@@ -70,6 +70,7 @@ from .clifford import (
 )
 from .kernels import (
     draw_outcomes,
+    outcome_cdf,
     pauli_mask_kernel,
     validated_matrix,
     validated_qubits,
@@ -899,6 +900,12 @@ class StabilizerBackend(SimulationBackend):
             return draws ^ self._frames.outcome_flips(qubit_list)
         return draw_outcomes(self.probabilities(qubit_list), rng, shots)
 
+    def marginal_cdf(self, qubits: Sequence[int]) -> "np.ndarray | None":
+        """The tableau marginal's CDF; ``None`` while frames carry members."""
+        if self._frames is not None:
+            return None
+        return outcome_cdf(self.probabilities(qubits))
+
     def measure(
         self,
         qubits: Sequence[int],
@@ -960,7 +967,7 @@ class StabilizerBackend(SimulationBackend):
         value = int(value)
         deterministic = tableau.deterministic_outcome(qubit)
         if deterministic is None:
-            base = int(_as_rng(rng).choice(2, p=[0.5, 0.5]))
+            base = draw_outcomes(np.array([0.5, 0.5]), _as_rng(rng))
             tableau.collapse(qubit, base)
         else:
             base = deterministic
@@ -1281,6 +1288,9 @@ class HybridCliffordBackend(SimulationBackend):
         rng: np.random.Generator | int | None = None,
     ) -> np.ndarray:
         return self._require_engine().sample(qubits, shots=shots, rng=rng)
+
+    def marginal_cdf(self, qubits: Sequence[int]) -> "np.ndarray | None":
+        return self._require_engine().marginal_cdf(qubits)
 
     def measure(
         self,

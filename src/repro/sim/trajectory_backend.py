@@ -777,7 +777,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
             rng = _as_rng(rng)
             for member in collapsing:
                 p1 = float(probability_one[self._row_of[member]])
-                current[member] = int(rng.choice(2, p=[1.0 - p1, p1]))
+                current[member] = _kernels.draw_outcomes(np.array([1.0 - p1, p1]), rng)
             self._split(current)
             for row in np.unique(self._row_of[collapsing]):
                 outcome = current[np.flatnonzero(self._row_of == row)[0]]

@@ -15,7 +15,7 @@ from repro.algorithms.arithmetic import (
 from repro.algorithms.qft import append_iqft, append_qft
 from repro.core import RunConfig, check_program
 from repro.lang import Program
-from repro.sim import adder_permutation
+from unitary_oracles import adder_permutation
 
 
 class TestAdderUnitary:

@@ -11,7 +11,7 @@ from repro.algorithms.qft import (
 )
 from repro.core import RunConfig, check_program
 from repro.lang import Program
-from repro.sim import dft_matrix
+from unitary_oracles import dft_matrix
 
 
 class TestQftUnitary:

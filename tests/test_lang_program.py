@@ -7,7 +7,8 @@ import pytest
 
 from repro.lang import Program, QuantumRegister
 from repro.lang.instructions import GateInstruction
-from repro.sim import Statevector, dft_matrix, gates
+from repro.sim import Statevector, gates
+from unitary_oracles import dft_matrix
 
 
 class TestRegisters:

@@ -425,3 +425,163 @@ class TestSnapshotReuse:
         assert row["plan_cache_hits"] >= 2
         assert row["shared_prefix_gates_saved"] == 2
         assert row["plan_cache"]["misses"] == 1
+
+
+def mixed_program() -> Program:
+    """Four breakpoints over a Clifford prefix and a non-Clifford tail."""
+    program = Program("mixed")
+    q = program.qreg("q", 3)
+    program.x(q[2])
+    program.assert_classical([q[2]], 1, label="set")
+    program.h(q[0])
+    program.cnot(q[0], q[1])
+    program.assert_entangled([q[0]], [q[1]], label="pair")
+    program.t(q[0])
+    program.h(q[0])
+    program.assert_superposition([q[0]], label="tail")
+    program.assert_product([q[0], q[1]], [q[2]], label="split")
+    return program
+
+
+def classical_program() -> Program:
+    """Classical breakpoints only: their test accepts a one-member ensemble."""
+    program = Program("classical")
+    q = program.qreg("q", 2)
+    program.x(q[1])
+    program.assert_classical([q[1]], 1, label="set")
+    program.t(q[1])
+    program.cnot(q[1], q[0])
+    program.assert_classical([q[0], q[1]], 3, label="copied")
+    return program
+
+
+def cold_then_warm(program_factory, config):
+    """(cold report, snapshot-served report) as JSON, with a fresh cache."""
+    cache = default_plan_cache()
+    cache.clear()
+    cold = check_program(program_factory(), config).to_json()
+    hits = cache.stats()["snapshot_hits"]
+    warm = check_program(program_factory(), config).to_json()
+    assert cache.stats()["snapshot_hits"] == hits + 1
+    return cold, warm
+
+
+class TestRecordedCdfs:
+    """Served runs draw from the CDFs the cold walk recorded per breakpoint."""
+
+    @pytest.mark.parametrize("readout", [None, 0.05])
+    @pytest.mark.parametrize(
+        "backend, ensemble",
+        [("statevector", 16), ("density", 16), ("stabilizer", 16),
+         ("auto", 16), ("hybrid", 16), ("trajectory", 1), ("trajectory", 16)],
+    )
+    def test_served_report_is_byte_identical_to_cold(self, backend, ensemble, readout):
+        program = mixed_program if ensemble > 1 else classical_program
+        if backend == "stabilizer":
+            program = bell_program
+        config = RunConfig(
+            ensemble_size=ensemble, seed=SEED, backend=backend, readout_error=readout
+        )
+        cold, warm = cold_then_warm(program, config)
+        assert warm == cold
+
+    def test_skip_indices_run_is_identical_on_a_warm_cache(self):
+        config = RunConfig(ensemble_size=16, seed=SEED, static_preflight=True)
+        cold = check_program(mixed_program(), config)
+        assert any(record.method == "static" for record in cold.records)
+        assert any(record.method != "static" for record in cold.records)
+        default_plan_cache().clear()
+        check_program(mixed_program(), config.replace(static_preflight=False))
+        warm = check_program(mixed_program(), config)
+        assert warm.to_json() == cold.to_json()
+
+    def test_cdfs_are_recorded_read_only_beside_the_tokens(self):
+        config = RunConfig(ensemble_size=8, seed=SEED)
+        check_program(mixed_program(), config)
+        plan = default_plan_cache().plan_for(mixed_program())
+        served = default_plan_cache().snapshots_for(plan, "statevector")
+        assert len(served.cdfs) == len(served.tokens) == plan.num_breakpoints
+        for cdf in served.cdfs:
+            assert cdf is not None
+            assert cdf.flags.writeable is False
+            assert cdf[-1] == 1.0
+
+    def test_trajectory_members_record_no_cdf(self):
+        config = RunConfig(ensemble_size=8, seed=SEED, backend="trajectory")
+        check_program(mixed_program(), config)
+        plan = default_plan_cache().plan_for(mixed_program())
+        served = default_plan_cache().snapshots_for(plan, "trajectory")
+        assert served.cdfs == [None] * plan.num_breakpoints
+
+    def test_warm_statevector_run_never_touches_the_engine(self, monkeypatch):
+        config = RunConfig(ensemble_size=8, seed=SEED)
+        check_program(mixed_program(), config)
+        plan = default_plan_cache().plan_for(mixed_program())
+        engine = default_plan_cache().snapshots_for(plan, "statevector").engine
+        calls = []
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return call
+
+        for name in ("restore", "probabilities", "sample"):
+            monkeypatch.setattr(engine, name, spy(name, getattr(engine, name)))
+        checker = repro.StatisticalAssertionChecker(mixed_program(), config)
+        checker.run()
+        assert checker.executor.shared_prefix_gates_saved > 0
+        assert calls == []
+        engine.probabilities([0])
+        assert calls == ["probabilities"]
+
+    def test_concurrent_warm_checks_match_serial_reports(self):
+        # Served runs share one cache-owned engine per SnapshotSet.  CDF
+        # draws never touch it, and the runs that still restore into it
+        # (trajectory members, native readout) hold the set's lock, so no
+        # thread reads the breakpoint state another thread restored.
+        import sys
+        import threading
+
+        from repro.workloads import build_shor_noise_workload
+
+        shor = build_shor_noise_workload()
+        cases = [
+            (lambda: shor, RunConfig(ensemble_size=8)),
+            (mixed_program, RunConfig(ensemble_size=16, backend="trajectory")),
+            (mixed_program, RunConfig(ensemble_size=16, backend="density",
+                                      readout_error=0.05)),
+        ]
+        seeds = range(100, 500)
+        for program_factory, config in cases:
+            check_program(program_factory(), config.replace(seed=1))
+        expected = {
+            (case, seed): check_program(factory(), config.replace(seed=seed)).to_json()
+            for case, (factory, config) in enumerate(cases)
+            for seed in seeds
+        }
+        got = {}
+
+        def work(chunk):
+            for case, seed in chunk:
+                factory, config = cases[case]
+                got[case, seed] = check_program(
+                    factory(), config.replace(seed=seed)
+                ).to_json()
+
+        keys = sorted(expected)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(keys[start::4],))
+                for start in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [key for key in keys if got[key] != expected[key]] == []

@@ -53,6 +53,18 @@ class TestKeyExports:
         ):
             assert name in repro.sim.__all__
 
+    def test_sim_exports_no_unitary_oracles(self):
+        # The closed-form unitary oracles are test helpers
+        # (tests/unitary_oracles.py), not part of the simulator's surface.
+        import importlib.util
+
+        for name in ("embed_matrix", "unitary_from_applications", "dft_matrix",
+                     "permutation_matrix", "adder_permutation",
+                     "modular_multiplication_permutation"):
+            assert name not in repro.sim.__all__
+            assert not hasattr(repro.sim, name)
+        assert importlib.util.find_spec("repro.sim.unitary") is None
+
     def test_core_exports_config_and_session(self):
         for name in ("RunConfig", "Session", "session"):
             assert name in repro.core.__all__

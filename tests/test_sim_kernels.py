@@ -344,3 +344,48 @@ class TestReadoutOperandChecks:
         outcome = backend.measure([1, 2], rng=np.random.default_rng(SEED))
         assert len(calls) == 1
         assert outcome in (0, 1)
+
+
+class TestCdfDraw:
+    """``draw_from_cdf(outcome_cdf(p))`` is ``Generator.choice(p=...)``."""
+
+    def test_matches_generator_choice_on_random_distributions(self):
+        meta = np.random.default_rng(SEED)
+        for trial in range(10_000):
+            width = int(meta.integers(1, 257))
+            probs = meta.random(width)
+            probs[meta.random(width) < 0.3] = 0.0
+            if not probs.sum():
+                probs[int(meta.integers(width))] = 1.0
+            shots = None if trial % 2 else int(meta.integers(0, 40))
+            seed = int(meta.integers(1 << 62))
+            reference = np.random.default_rng(seed)
+            split = np.random.default_rng(seed)
+            expected = reference.choice(width, size=shots, p=probs / probs.sum())
+            drawn = kernels.draw_from_cdf(kernels.outcome_cdf(probs), split, shots)
+            if shots is None:
+                assert type(drawn) is int and drawn == expected
+            else:
+                assert drawn.dtype == np.int64
+                np.testing.assert_array_equal(drawn, expected)
+            assert split.random() == reference.random()
+
+    def test_draw_outcomes_is_the_two_steps(self):
+        probs = np.array([0.1, 0.0, 0.6, 0.3])
+        cdf = kernels.outcome_cdf(probs)
+        for shots in (None, 5):
+            assert np.array_equal(
+                kernels.draw_outcomes(probs, np.random.default_rng(SEED), shots),
+                kernels.draw_from_cdf(cdf, np.random.default_rng(SEED), shots),
+            )
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.0, 0.0], [1.0, np.nan], [np.inf, 1.0], [-0.5, 1.5], []],
+        ids=["zero-sum", "nan", "inf", "negative", "empty"],
+    )
+    def test_bad_input_raises_like_choice(self, probs):
+        probs = np.array(probs, dtype=float)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(ValueError):
+                kernels.outcome_cdf(probs)

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.sim import (
-    Statevector,
+from repro.sim import Statevector, gates
+from unitary_oracles import (
     adder_permutation,
     dft_matrix,
     embed_matrix,
-    gates,
     modular_multiplication_permutation,
     permutation_matrix,
     unitary_from_applications,

@@ -1,11 +1,10 @@
-"""Full-unitary construction utilities.
+"""Closed-form unitary oracles for the test suite.
 
 The paper cross-validates its Scaffold programs against implementations in
 other quantum programming frameworks.  Those frameworks are not available
-offline, so this module provides the replacement oracle: the exact unitary
-matrix of a (small) program, which can be compared against closed-form linear
-algebra such as the DFT matrix for the QFT or permutation matrices for
-reversible arithmetic.
+offline, so the tests compare a small program's exact unitary
+(``Program.unitary()``) against closed-form linear algebra instead: the DFT
+matrix for the QFT, or permutation matrices for reversible arithmetic.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gates as _gates
-from .statevector import Statevector
+from repro.sim import Statevector
 
 __all__ = [
     "embed_matrix",
@@ -98,7 +96,3 @@ def modular_multiplication_permutation(num_qubits: int, multiplier: int, modulus
         mapping[x] = (multiplier * x) % modulus
     return permutation_matrix(mapping)
 
-
-def _gate_reference() -> None:  # pragma: no cover - documentation anchor
-    """Anchor so that ``gates`` is a documented dependency of this module."""
-    _ = _gates.I
